@@ -3,8 +3,6 @@ package campaign
 import (
 	"encoding/json"
 	"io"
-	"runtime"
-	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -77,42 +75,16 @@ func (r *Runner) trace(i int, scenarios []Scenario) *obs.Trace {
 // Individual scenario failures are reported in Result.Error; Run itself
 // never fails.
 func (r *Runner) Run(scenarios []Scenario) []Result {
-	workers := r.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(scenarios) {
-		workers = len(scenarios)
-	}
 	base := r.Seed
 	if base == 0 {
 		base = 1
 	}
+	workers := engine.Workers(r.Workers, len(scenarios))
+	pools := engine.NewSharded(workers)
 	results := make([]Result, len(scenarios))
-	if workers <= 1 {
-		pool := engine.NewMachines()
-		for i := range scenarios {
-			results[i] = scenarios[i].run(pool, DeriveSeed(base, i), r.Cache, r.Model, r.trace(i, scenarios))
-		}
-		return results
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			pool := engine.NewMachines()
-			for i := range idx {
-				results[i] = scenarios[i].run(pool, DeriveSeed(base, i), r.Cache, r.Model, r.trace(i, scenarios))
-			}
-		}()
-	}
-	for i := range scenarios {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	engine.ForEach(len(scenarios), workers, func(w, i int) {
+		results[i] = scenarios[i].run(pools.Shard(w), DeriveSeed(base, i), r.Cache, r.Model, r.trace(i, scenarios))
+	})
 	return results
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/arch"
@@ -564,22 +565,31 @@ func (m *Machine) Barrier(cores []int) {
 			})
 		}
 	}
-	m.TrimReservations()
+	m.TrimReservations(nil)
 }
 
-// TrimReservations retires bank-reservation pages no core can book
-// again: pages older than the slowest core anywhere in the cluster
-// (minus a page-sized safety window), since per-core clocks only move
-// forward. Cluster-wide barriers call it implicitly; the pipelined
-// chain executor, which never runs one, calls it once per beat to
-// bound simulator memory over long runs. For a cluster-wide barrier
-// the minimum is the release time itself, preserving the original
-// retire behaviour.
-func (m *Machine) TrimReservations() {
-	low := m.coreTime[0]
-	for _, t := range m.coreTime {
-		if t < low {
-			low = t
+// TrimReservations retires bank-reservation pages no core of the given
+// set (nil means every core) can book again: pages older than the
+// slowest of those cores (minus a page-sized safety window), since
+// per-core clocks only move forward. The set must hold every core that
+// may still run before the next Reset; cores outside it are idle, and
+// an idle core's clock must not pin the cutoff. Cluster-wide barriers
+// call it implicitly over every core; the pipelined chain executor,
+// which never runs one, calls it once per beat over the union of its
+// plans' job cores to bound simulator memory over long runs. For a
+// cluster-wide barrier the minimum is the release time itself,
+// preserving the original retire behaviour.
+func (m *Machine) TrimReservations(cores []int) {
+	var low int64
+	switch {
+	case cores == nil:
+		low = slices.Min(m.coreTime)
+	case len(cores) == 0:
+		return
+	default:
+		low = m.coreTime[cores[0]]
+		for _, c := range cores[1:] {
+			low = min(low, m.coreTime[c])
 		}
 	}
 	if low > 1<<13 {

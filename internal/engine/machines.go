@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/arch"
 )
@@ -179,4 +181,52 @@ func (s *Sharded) Stats() PoolStats {
 		agg.add(ms.Stats())
 	}
 	return agg
+}
+
+// Workers resolves a requested host fan-out width for n items: <= 0
+// means GOMAXPROCS, and the width never exceeds n nor drops below 1.
+// Callers size per-worker state (a Sharded pool, one encoder each) with
+// it before handing the same width to ForEach.
+func Workers(requested, n int) int {
+	w := requested
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
+	return max(1, min(w, n))
+}
+
+// ForEach calls fn(worker, i) exactly once for every i in [0, n), fanned
+// out across Workers(workers, n) goroutines: the one host fan-out of the
+// serving and campaign layers. Indices are handed out through a single
+// atomic counter, so a slow item never holds up the others, and worker
+// is a stable id in [0, Workers(workers, n)) that selects the caller's
+// per-worker state (Sharded.Shard(worker), a private encoder). With one
+// worker fn runs inline on the calling goroutine in index order.
+// ForEach returns once every call has returned; results must be written
+// to index-addressed slots, never in completion order, so output can
+// never depend on the worker count.
+func ForEach(n, workers int, fn func(worker, i int)) {
+	workers = Workers(workers, n)
+	if workers == 1 {
+		for i := 0; i < n; i++ {
+			fn(0, i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				fn(w, i)
+			}
+		}()
+	}
+	wg.Wait()
 }

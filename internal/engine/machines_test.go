@@ -95,3 +95,42 @@ func TestShardedConcurrent(t *testing.T) {
 		t.Fatalf("each worker should build once and reuse after: %+v", agg)
 	}
 }
+
+// TestForEach: every index runs exactly once with a worker id inside
+// the resolved width, whatever the width; one worker runs inline in
+// index order; an empty range runs nothing.
+func TestForEach(t *testing.T) {
+	for _, c := range []struct{ n, workers int }{{0, 4}, {1, 8}, {7, 1}, {100, 3}, {1000, 8}, {5, 0}} {
+		w := Workers(c.workers, c.n)
+		hits := make([]int, c.n)
+		var mu sync.Mutex
+		var order []int
+		ForEach(c.n, c.workers, func(worker, i int) {
+			if worker < 0 || worker >= w {
+				t.Errorf("n=%d workers=%d: worker id %d outside [0,%d)", c.n, c.workers, worker, w)
+			}
+			mu.Lock()
+			hits[i]++
+			order = append(order, i)
+			mu.Unlock()
+		})
+		for i, h := range hits {
+			if h != 1 {
+				t.Fatalf("n=%d workers=%d: index %d ran %d times", c.n, c.workers, i, h)
+			}
+		}
+		if w == 1 {
+			for i, got := range order {
+				if got != i {
+					t.Fatalf("n=%d: inline run out of order at %d: %v", c.n, i, order)
+				}
+			}
+		}
+	}
+	if w := Workers(16, 3); w != 3 {
+		t.Fatalf("Workers(16, 3) = %d, want 3", w)
+	}
+	if w := Workers(4, 0); w != 1 {
+		t.Fatalf("Workers(4, 0) = %d, want 1", w)
+	}
+}

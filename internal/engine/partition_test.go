@@ -139,3 +139,48 @@ func TestMaxTime(t *testing.T) {
 		t.Errorf("MaxTime(nil) = %d, want %d", got, want)
 	}
 }
+
+// busyCycles counts the booked bank-cycles in [lo, hi) across every
+// bank of m.
+func busyCycles(m *Machine, lo, hi int64) int {
+	n := 0
+	for b := 0; b < m.Cfg.NumBanks(); b++ {
+		for t := lo; t < hi; t++ {
+			if m.Mem.Res.Busy(b, t) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestTrimReservationsCoreSet checks the retire cutoff follows the given
+// core set: idle cores parked at cycle 0 pin every page under a
+// cluster-wide trim, while a trim over the cores that actually ran
+// retires the pages they have all moved past.
+func TestTrimReservationsCoreSet(t *testing.T) {
+	m := NewMachine(arch.TeraPool())
+	cores := make([]int, 256)
+	for i := range cores {
+		cores[i] = i
+	}
+	if err := m.Run(Job{Name: "early", Cores: cores, Phases: []Phase{{Name: "p", Work: func(p *Proc) {
+		p.Store(arch.Addr(p.Lane), W{})
+		p.Tick(30000)
+	}}}}); err != nil {
+		t.Fatal(err)
+	}
+	early := busyCycles(m, 0, 64)
+	if early == 0 {
+		t.Fatal("the early stores booked no bank cycles")
+	}
+	m.TrimReservations(nil)
+	if got := busyCycles(m, 0, 64); got != early {
+		t.Fatalf("cluster-wide trim with idle cores at cycle 0 retired early pages: %d of %d bookings left", got, early)
+	}
+	m.TrimReservations(cores)
+	if got := busyCycles(m, 0, 64); got != 0 {
+		t.Fatalf("trim over the running cores left %d early bookings live", got)
+	}
+	m.TrimReservations([]int{}) // an empty set retires nothing and must not panic
+}

@@ -283,7 +283,7 @@ func TestResetAndTrimAllocsNothing(t *testing.T) {
 		if err := m.Run(job); err != nil {
 			t.Fatal(err)
 		}
-		m.TrimReservations()
+		m.TrimReservations(nil)
 		m.Reset()
 	}
 	cycle() // warm scratch buffers, icache sets and reservation rings

@@ -3,10 +3,8 @@ package fleet
 import (
 	"encoding/json"
 	"io"
-	"runtime"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/arch"
@@ -181,15 +179,10 @@ func (f *Fleet) Serve(jobs []sched.Job) ([]sched.JobResult, report.FleetSummary)
 // counts for the same trace and configuration.
 func (f *Fleet) WriteJSONL(w io.Writer, jobs []sched.Job) (report.FleetSummary, error) {
 	results, sum := f.Serve(jobs)
-	enc := json.NewEncoder(w)
-	for i := range results {
-		if results[i].Outcome != Served {
-			continue
-		}
-		if err := enc.Encode(&results[i].Record); err != nil {
-			return sum, err
-		}
+	if err := sched.WriteRecords(w, results, f.Cfg.Workers); err != nil {
+		return sum, err
 	}
+	enc := json.NewEncoder(w)
 	// Pool and host stats vary with the host worker count and wall
 	// clock; the stream's byte-determinism contract excludes them
 	// (callers read them off the returned summary instead).
@@ -255,54 +248,21 @@ func (f *Fleet) measureAll(cells []Cell, jobs []sched.Job, order []int) ([][]mea
 		base = 1
 	}
 	total := len(classCell) * len(jobs)
-	workers := f.Cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > total {
-		workers = total
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := engine.Workers(f.Cfg.Workers, total)
 	sharded := engine.NewSharded(workers)
 	meas := make([][]measured, len(classCell))
 	for cls := range meas {
 		meas[cls] = make([]measured, len(jobs))
 	}
-	run := func(pool *engine.Machines, k int) {
+	engine.ForEach(total, workers, func(w, k int) {
 		cls, pos := k/len(jobs), k%len(jobs)
 		cfg := cells[classCell[cls]].apply(jobs[order[pos]].Chain)
 		if cfg.Seed == 0 {
 			cfg.Seed = campaign.DeriveSeed(base, pos)
 		}
-		rec, err := sched.Resolve(pool, cfg, f.Cfg.Cache, f.Cfg.Model, f.measure)
+		rec, err := sched.Resolve(sharded.Shard(w), cfg, f.Cfg.Cache, f.Cfg.Model, f.measure)
 		meas[cls][pos] = measured{rec: rec, err: err}
-	}
-	if workers == 1 {
-		pool := sharded.Shard(0)
-		for k := 0; k < total; k++ {
-			run(pool, k)
-		}
-		return meas, classOf, sharded
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			pool := sharded.Shard(w)
-			for k := range idx {
-				run(pool, k)
-			}
-		}(w)
-	}
-	for k := 0; k < total; k++ {
-		idx <- k
-	}
-	close(idx)
-	wg.Wait()
+	})
 	return meas, classOf, sharded
 }
 

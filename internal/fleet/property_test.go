@@ -2,7 +2,9 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/channel"
@@ -203,6 +205,50 @@ func TestUEPopulationScalesWithFleet(t *testing.T) {
 		want := cells * sched.DefaultUEPopulation
 		if len(seen) != want {
 			t.Fatalf("cells=%d: %d distinct UE identities, want %d", cells, len(seen), want)
+		}
+	}
+}
+
+// TestFleetWriteJSONLAcrossEncodeWindows: a 5k-job mobile analytic
+// trace over a 3-cell SINR fleet — longer than one encode window —
+// streams byte-identically at Workers 1, 2 and 8, and the record body
+// equals one serial encoder's bytes.
+func TestFleetWriteJSONLAcrossEncodeWindows(t *testing.T) {
+	model, err := timing.Load("../../testdata/calibration.json")
+	if err != nil {
+		t.Fatalf("loading committed calibration: %v", err)
+	}
+	base := sched.Mobile(tinyChain(), channel.TDLB, 30, 0)
+	base.NR, base.NB, base.NSymb = 16, 8, 6
+	trace := MixedTrace(3, sched.TableIMix(&base), 5000, 8, 1)
+	cfg := Config{
+		Cells:  Homogeneous(3, Cell{Timing: pusch.TimingAnalytic}),
+		Policy: SINRAware, Seed: 1, Model: model,
+	}
+	results, sum := (&Fleet{Cfg: cfg}).Serve(trace)
+	if sum.Served < 4096 || sum.Cells != 3 {
+		t.Fatalf("served %d jobs over %d cells; the stream must cross an encode window", sum.Served, sum.Cells)
+	}
+	var records bytes.Buffer
+	enc := json.NewEncoder(&records)
+	for i := range results {
+		if results[i].Outcome == Served {
+			if err := enc.Encode(&results[i].Record); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var ref string
+	for _, workers := range []int{1, 2, 8} {
+		cfg.Workers = workers
+		got := fleetBytes(t, &Fleet{Cfg: cfg}, trace)
+		if !strings.HasPrefix(got, records.String()) {
+			t.Fatalf("workers=%d: record body differs from the serial encoding", workers)
+		}
+		if ref == "" {
+			ref = got
+		} else if got != ref {
+			t.Fatalf("workers=%d: stream differs from workers=1", workers)
 		}
 	}
 }

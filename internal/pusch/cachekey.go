@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/report"
@@ -75,25 +76,35 @@ func (c ChainConfig) CacheKey() (string, error) {
 		skel.ChannelSeed = ch.Seed
 		skel.ChannelTimeMs = ch.TimeMs
 	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	var sb strings.Builder
-	sb.WriteString(CacheKeySchema)
-	sb.WriteByte('|')
-	sb.WriteString(skel.Key())
-	fmt.Fprintf(&sb, "|nsc%d/nr%d/nb%d/sy%d/pi%d", c.NSC, c.NR, c.NB, c.NSymb, c.NPilot)
-	sb.WriteString("|snr" + f(c.SNRdB))
-	sb.WriteString("|amp" + f(c.DataAmp) + ":" + f(c.PilotAmp))
-	fmt.Fprintf(&sb, "|taps%d|seed%x", c.Taps, c.Seed)
+	b := make([]byte, 0, 192)
+	b = append(b, CacheKeySchema...)
+	b = append(b, '|')
+	b = skel.AppendKey(b)
+	num := func(label string, v int) { b = strconv.AppendInt(append(b, label...), int64(v), 10) }
+	flt := func(label string, v float64) { b = strconv.AppendFloat(append(b, label...), v, 'g', -1, 64) }
+	num("|nsc", c.NSC)
+	num("/nr", c.NR)
+	num("/nb", c.NB)
+	num("/sy", c.NSymb)
+	num("/pi", c.NPilot)
+	flt("|snr", c.SNRdB)
+	flt("|amp", c.DataAmp)
+	flt(":", c.PilotAmp)
+	num("|taps", c.Taps)
+	b = strconv.AppendUint(append(b, "|seed"...), c.Seed, 16)
 	if c.InterpolateChannel {
-		sb.WriteString("|interp")
+		b = append(b, "|interp"...)
 	}
 	if !c.Channel.Legacy() {
 		// Doppler, Rician K and delay spread shape the fading realization
 		// beyond what the record key carries.
-		sb.WriteString("|fd" + f(ch.DopplerHz) + "/k" + f(ch.RicianK) + "/ds" + f(ch.DelaySpreadNs))
+		flt("|fd", ch.DopplerHz)
+		flt("/k", ch.RicianK)
+		flt("/ds", ch.DelaySpreadNs)
 	}
-	sb.WriteString("|arch" + ArchFingerprint(c.Cluster))
-	return sb.String(), nil
+	b = append(b, "|arch"...)
+	b = append(b, ArchFingerprint(c.Cluster)...)
+	return string(b), nil
 }
 
 // ArchFingerprint hashes the complete cluster description — geometry,
@@ -103,7 +114,19 @@ func (c ChainConfig) CacheKey() (string, error) {
 // per-cluster coefficients by the same fingerprint, so a calibration
 // fitted on one geometry can never be evaluated on another.
 func ArchFingerprint(cfg *arch.Config) string {
+	if fp, ok := archFingerprints.Load(*cfg); ok {
+		return fp.(string)
+	}
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%+v", *cfg)
-	return strconv.FormatUint(h.Sum64(), 16)
+	fp := strconv.FormatUint(h.Sum64(), 16)
+	archFingerprints.Store(*cfg, fp)
+	return fp
 }
+
+// archFingerprints memoizes ArchFingerprint by configuration value.
+// arch.Config is comparable, so an entry can only ever be read back for
+// a field-for-field equal geometry — a mutated copy is a different key,
+// never a stale hit — and the map holds one entry per distinct geometry
+// a process has seen.
+var archFingerprints sync.Map // arch.Config -> string

@@ -143,7 +143,7 @@ func (l Layout) String() string {
 	if fOK && bOK && dOK &&
 		slices.Equal(l.CHE, l.NE) && slices.Equal(l.CHE, l.MIMO) &&
 		fLo == 0 && bLo == f && dLo == f+b {
-		return fmt.Sprintf("pipe/f%d/b%d/d%d", f, b, d)
+		return "pipe/f" + strconv.Itoa(f) + "/b" + strconv.Itoa(b) + "/d" + strconv.Itoa(d)
 	}
 	return "pipe/custom"
 }
@@ -205,32 +205,35 @@ func (l Layout) validate(cluster *arch.Config, nsc int) error {
 	}{
 		{"fft", l.FFT}, {"bf", l.BF}, {"che", l.CHE}, {"ne", l.NE}, {"mimo", l.MIMO},
 	}
-	owner := make(map[int]string)   // core -> first partition key claiming it
-	keys := make(map[string]string) // partition key -> name
-	for _, p := range parts {
+	// owner[c] is 1 + the index (into parts) of the first distinct
+	// partition claiming core c; seen[c] is 1 + the index of the last
+	// partition that listed it.
+	n := cluster.NumCores()
+	owner := make([]uint8, n)
+	seen := make([]uint8, n)
+	var distinct []int // indices of the distinct partitions so far
+	for i, p := range parts {
 		if len(p.set) == 0 {
 			return fmt.Errorf("pusch: pipelined layout leaves stage %s without cores", p.name)
 		}
-		seen := make(map[int]bool, len(p.set))
 		for _, c := range p.set {
-			if c < 0 || c >= cluster.NumCores() {
-				return fmt.Errorf("pusch: layout stage %s: core %d out of range [0,%d)", p.name, c, cluster.NumCores())
+			if c < 0 || c >= n {
+				return fmt.Errorf("pusch: layout stage %s: core %d out of range [0,%d)", p.name, c, n)
 			}
-			if seen[c] {
+			if seen[c] == uint8(i+1) {
 				return fmt.Errorf("pusch: layout stage %s lists core %d twice", p.name, c)
 			}
-			seen[c] = true
+			seen[c] = uint8(i + 1)
 		}
-		key := fmt.Sprint([]int(p.set))
-		if _, known := keys[key]; known {
+		if slices.ContainsFunc(distinct, func(j int) bool { return slices.Equal(parts[j].set, p.set) }) {
 			continue // shared partition, already accounted
 		}
-		keys[key] = p.name
+		distinct = append(distinct, i)
 		for _, c := range p.set {
-			if prev, taken := owner[c]; taken {
-				return fmt.Errorf("pusch: layout partitions %s and %s both claim core %d (distinct partitions must be disjoint)", prev, p.name, c)
+			if prev := owner[c]; prev != 0 {
+				return fmt.Errorf("pusch: layout partitions %s and %s both claim core %d (distinct partitions must be disjoint)", parts[prev-1].name, p.name, c)
 			}
-			owner[c] = p.name
+			owner[c] = uint8(i + 1)
 		}
 	}
 	if lanes := nsc / 16; len(l.FFT) < lanes {

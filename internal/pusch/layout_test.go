@@ -281,3 +281,27 @@ func TestPipelinedRunSymbolContract(t *testing.T) {
 		t.Error("RunSymbol past NSymb accepted")
 	}
 }
+
+// TestPipelinedTeraPoolRetiresEarlyPages pins the per-beat retirement
+// contract on the stock TeraPool pipelined layout: its FFT partition is
+// wider than the transforms' lane sets, so half of it never leaves
+// cycle 0, and a cutoff taken over every core would never retire
+// anything. After the slot, the first reservation page must read free.
+func TestPipelinedTeraPoolRetiresEarlyPages(t *testing.T) {
+	cfg := goldenChainConfig()
+	cfg.Cluster = arch.TeraPool()
+	cfg.Layout = StockPipelined(cfg.Cluster)
+	cfg.NSymb = 14 // a full slot: long enough for every core to pass page 0
+	m := engine.NewMachine(cfg.Cluster)
+	res, err := RunChainOn(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < cfg.Cluster.NumBanks(); b++ {
+		for c := int64(0); c < 1<<12; c++ {
+			if m.Mem.Res.Busy(b, c) {
+				t.Fatalf("bank %d still books cycle %d after a %d-cycle pipelined slot", b, c, res.TotalCycles)
+			}
+		}
+	}
+}

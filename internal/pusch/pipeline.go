@@ -59,6 +59,10 @@ type Pipeline struct {
 	issued  int // symbols fed into the pipe so far
 	drained bool
 
+	// live is the sorted union of every pipelined plan's job cores: the
+	// only cores whose clocks advance during the slot.
+	live []int
+
 	start    int64
 	detected []fixed.C15
 	stages   map[Stage]engine.Report
@@ -226,7 +230,37 @@ func (pl *Pipeline) planPipelined() error {
 	pl.finFFT = make([]int64, cfg.NSymb)
 	pl.finBF = make([]int64, cfg.NSymb)
 	pl.finDet = make([]int64, cfg.NSymb)
+	pl.live = pl.liveCores()
 	return nil
+}
+
+// liveCores returns the sorted union of the pipelined plans' job cores.
+// Partition cores no plan enrolls (an FFT partition wider than the
+// transforms' lane sets) never leave cycle 0, so they must not hold
+// back reservation retirement.
+func (pl *Pipeline) liveCores() []int {
+	jobs := []engine.Job{pl.comb.Job()}
+	for p := range pl.fftPlans {
+		jobs = append(jobs, pl.fftPlans[p].JobsList()...)
+		jobs = append(jobs, pl.bfPlans[p].Job())
+		jobs = append(jobs, pl.mimoPlans[p].JobsList()...)
+	}
+	for _, cp := range pl.chestPlans {
+		jobs = append(jobs, cp.JobsList()...)
+	}
+	enrolled := make([]bool, pl.m.Cfg.NumCores())
+	for _, j := range jobs {
+		for _, c := range j.Cores {
+			enrolled[c] = true
+		}
+	}
+	var live []int
+	for c, ok := range enrolled {
+		if ok {
+			live = append(live, c)
+		}
+	}
+	return live
 }
 
 // accumulate folds one measured window into the per-stage aggregate.
@@ -452,9 +486,9 @@ func (pl *Pipeline) issueBeat(beat int) error {
 		return err
 	}
 	// No cluster-wide barrier ever runs in a pipelined slot, so retire
-	// the bank-reservation pages every core has moved past here, once
-	// per beat, to bound simulator memory.
-	pl.m.TrimReservations()
+	// the bank-reservation pages every enrolled core has moved past
+	// here, once per beat, to bound simulator memory.
+	pl.m.TrimReservations(pl.live)
 	if doFFT {
 		pl.finFFT[sFFT] = pl.m.MaxTime(lay.FFT)
 		pl.accumulateOn(StageOFDM, mark, "fft", lay.FFT, sFFT)

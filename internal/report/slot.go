@@ -1,7 +1,6 @@
 package report
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 )
@@ -102,28 +101,41 @@ type SlotRecord struct {
 // fixed dimensions) are flagged by Diff as duplicates rather than
 // silently collapsed. The service-time cache builds its coordinate key
 // on top of this composite (pusch.ChainConfig.CacheKey).
-func (r *SlotRecord) Key() string {
-	key := fmt.Sprintf("%s/%s/%dc/%due/chol%d", r.Kind, strings.ToLower(r.Cluster), r.Cores, r.UEs, r.CholPerRound)
+func (r *SlotRecord) Key() string { return string(r.AppendKey(nil)) }
+
+// AppendKey appends Key's bytes to dst and returns the extended slice,
+// so key builders layered on it (pusch.ChainConfig.CacheKey) compose
+// the coordinate in one buffer.
+func (r *SlotRecord) AppendKey(dst []byte) []byte {
+	dst = append(dst, r.Kind...)
+	dst = append(dst, '/')
+	dst = append(dst, strings.ToLower(r.Cluster)...)
+	dst = append(dst, '/')
+	dst = strconv.AppendInt(dst, int64(r.Cores), 10)
+	dst = append(dst, "c/"...)
+	dst = strconv.AppendInt(dst, int64(r.UEs), 10)
+	dst = append(dst, "ue/chol"...)
+	dst = strconv.AppendInt(dst, int64(r.CholPerRound), 10)
 	if r.Scheme != "" {
-		key += "/" + r.Scheme
+		dst = append(append(dst, '/'), r.Scheme...)
 	}
 	if r.Channel != "" {
-		key += "/" + r.Channel
+		dst = append(append(dst, '/'), r.Channel...)
 		if r.ChannelSeed != 0 {
-			key += fmt.Sprintf("/cs%x", r.ChannelSeed)
+			dst = strconv.AppendUint(append(dst, "/cs"...), r.ChannelSeed, 16)
 		}
 		if r.ChannelTimeMs != 0 {
-			key += "/t" + strconv.FormatFloat(r.ChannelTimeMs, 'g', -1, 64)
+			dst = strconv.AppendFloat(append(dst, "/t"...), r.ChannelTimeMs, 'g', -1, 64)
 		}
 	}
 	if r.Layout != "" {
-		key += "/" + r.Layout
+		dst = append(append(dst, '/'), r.Layout...)
 	}
 	if r.Timing != "" {
 		// An analytic prediction and a cycle-accurate measurement of the
 		// same slot are different records; they must never collide in a
 		// baseline diff.
-		key += "/" + r.Timing
+		dst = append(append(dst, '/'), r.Timing...)
 	}
-	return key
+	return dst
 }

@@ -1,12 +1,11 @@
 package sched
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/arch"
@@ -142,14 +141,8 @@ func (s *Scheduler) Serve(jobs []Job) ([]JobResult, report.ServiceSummary) {
 // counts for the same trace and configuration.
 func (s *Scheduler) WriteJSONL(w io.Writer, jobs []Job) (report.ServiceSummary, error) {
 	results, sum := s.Serve(jobs)
-	enc := json.NewEncoder(w)
-	for i := range results {
-		if results[i].Outcome != Served {
-			continue
-		}
-		if err := enc.Encode(&results[i].Record); err != nil {
-			return sum, err
-		}
+	if err := WriteRecords(w, results, s.Cfg.Workers); err != nil {
+		return sum, err
 	}
 	// The pool and host stats vary with the host worker count and wall
 	// clock; the stream's byte-determinism contract excludes them
@@ -157,11 +150,72 @@ func (s *Scheduler) WriteJSONL(w io.Writer, jobs []Job) (report.ServiceSummary, 
 	wire := sum
 	wire.Pool = nil
 	wire.Host = nil
-	if err := enc.Encode(&wire); err != nil {
-		return sum, err
-	}
-	return sum, nil
+	return sum, json.NewEncoder(w).Encode(&wire)
 }
+
+// encodeWindow is how many results WriteRecords encodes per fan-out
+// round before writing them out, and encodeChunk how many one worker
+// encodes per claimed unit of work.
+const (
+	encodeWindow = 2048
+	encodeChunk  = 256
+)
+
+// WriteRecords streams the JobRecord of every served result, in result
+// order, one JSON line each: the record body of the scheduler's and the
+// fleet's JSONL streams. Results are encoded in windows of encodeWindow
+// across workers goroutines (<= 0 means GOMAXPROCS), each worker with
+// its own json.Encoder, and every window is written in result order, so
+// the bytes are exactly one serial encoder's whatever the worker count.
+// On an encoding error the records before the failing one are written
+// and the error returned, as with a serial encoder.
+func WriteRecords(w io.Writer, results []JobResult, workers int) error {
+	type chunk struct {
+		buf bytes.Buffer
+		err error
+	}
+	chunks := make([]chunk, encodeWindow/encodeChunk)
+	workers = engine.Workers(workers, len(chunks))
+	sinks := make([]retarget, workers)
+	encs := make([]*json.Encoder, workers)
+	for i := range encs {
+		encs[i] = json.NewEncoder(&sinks[i])
+	}
+	for lo := 0; lo < len(results); lo += encodeWindow {
+		win := results[lo:min(lo+encodeWindow, len(results))]
+		n := (len(win) + encodeChunk - 1) / encodeChunk
+		engine.ForEach(n, workers, func(wk, c int) {
+			ch := &chunks[c]
+			ch.buf.Reset()
+			ch.err = nil
+			sinks[wk].buf = &ch.buf
+			part := win[c*encodeChunk : min((c+1)*encodeChunk, len(win))]
+			for i := range part {
+				if part[i].Outcome != Served {
+					continue
+				}
+				if ch.err = encs[wk].Encode(&part[i].Record); ch.err != nil {
+					return
+				}
+			}
+		})
+		for c := range chunks[:n] {
+			if _, err := w.Write(chunks[c].buf.Bytes()); err != nil {
+				return err
+			}
+			if err := chunks[c].err; err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// retarget is an io.Writer whose destination buffer can be switched
+// between writes, so one json.Encoder per worker can fill any chunk.
+type retarget struct{ buf *bytes.Buffer }
+
+func (r *retarget) Write(p []byte) (int, error) { return r.buf.Write(p) }
 
 // arrivalOrder returns job indices sorted by arrival cycle, stable in
 // input order for simultaneous arrivals.
@@ -176,63 +230,25 @@ func arrivalOrder(jobs []Job) []int {
 	return order
 }
 
-// measureAll runs phase 1: every job's chain measured across the
-// sharded machine pool. meas is indexed by arrival-order position.
+// measureAll runs phase 1: every job resolved across the sharded
+// machine pool, one shard per worker. meas is indexed by arrival-order
+// position.
 func (s *Scheduler) measureAll(jobs []Job, order []int) ([]measured, *engine.Sharded) {
-	measure := s.measure
-	if measure == nil {
-		measure = measureChain
-	}
 	base := s.Cfg.Seed
 	if base == 0 {
 		base = 1
 	}
-	workers := s.Cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := engine.Workers(s.Cfg.Workers, len(jobs))
 	sharded := engine.NewSharded(workers)
 	meas := make([]measured, len(jobs))
-	cache := s.Cfg.Cache
-	model := s.Cfg.Model
-	run := func(pool *engine.Machines, pos int) {
+	engine.ForEach(len(jobs), workers, func(w, pos int) {
 		cfg := jobs[order[pos]].Chain
 		if cfg.Seed == 0 {
 			cfg.Seed = jobSeed(base, pos)
 		}
-		rec, err := Resolve(pool, cfg, cache, model, measure)
+		rec, err := Resolve(sharded.Shard(w), cfg, s.Cfg.Cache, s.Cfg.Model, s.measure)
 		meas[pos] = measured{rec: rec, err: err}
-	}
-	if workers == 1 {
-		pool := sharded.Shard(0)
-		for pos := range jobs {
-			run(pool, pos)
-		}
-		return meas, sharded
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			pool := sharded.Shard(w)
-			for pos := range idx {
-				run(pool, pos)
-			}
-		}(w)
-	}
-	for pos := range jobs {
-		idx <- pos
-	}
-	close(idx)
-	wg.Wait()
+	})
 	return meas, sharded
 }
 

@@ -2,13 +2,16 @@ package sched
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"repro/internal/arch"
 	"repro/internal/channel"
+	"repro/internal/engine"
 	"repro/internal/pusch"
 	"repro/internal/waveform"
 )
@@ -93,9 +96,15 @@ func ParseCluster(name string) (*arch.Config, error) {
 
 // Job materializes the spec over the server's defaults.
 func (sp Spec) Job(defaults pusch.ChainConfig) (Job, error) {
+	return sp.job(defaults, ParseCluster)
+}
+
+// job is Job with the cluster-name resolver supplied, so ReadJobs can
+// hand every job of one stream the same configuration per stock name.
+func (sp Spec) job(defaults pusch.ChainConfig, parseCluster func(string) (*arch.Config, error)) (Job, error) {
 	cfg := defaults
 	if sp.Cluster != "" {
-		cl, err := ParseCluster(sp.Cluster)
+		cl, err := parseCluster(sp.Cluster)
 		if err != nil {
 			return Job{}, err
 		}
@@ -247,29 +256,81 @@ func JobSpec(j Job) (Spec, error) {
 	return sp, nil
 }
 
+// parseWindow is how many job lines ReadJobs scans before decoding
+// them as one batch: enough to amortize the fan-out, few enough that a
+// window's raw bytes stay around a megabyte.
+const parseWindow = 4096
+
 // ReadJobs parses a JSONL job stream, one Spec per line, zero fields
 // inheriting from defaults. Blank lines and lines starting with '#' are
 // skipped, so traces can carry comments.
+//
+// Lines are scanned into windows of parseWindow, each window is decoded
+// across GOMAXPROCS goroutines, and its jobs are appended in line
+// order, so the result never depends on the host. A malformed stream
+// fails with the error of its lowest-numbered bad line, exactly as a
+// line-by-line parse would. A stream shorter than one window is decoded
+// on the calling goroutine.
+//
+// Jobs naming the same stock cluster share one read-only configuration,
+// as jobs inheriting the defaults' cluster already share that one.
 func ReadJobs(r io.Reader, defaults pusch.ChainConfig) ([]Job, error) {
+	stock := map[string]*arch.Config{"mempool": arch.MemPool(), "terapool": arch.TeraPool()}
+	parseCluster := func(name string) (*arch.Config, error) {
+		if cl, ok := stock[strings.ToLower(name)]; ok {
+			return cl, nil
+		}
+		return ParseCluster(name)
+	}
 	var jobs []Job
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
+	var (
+		raw   []byte // the window's lines, back to back
+		ends  []int  // end offset of each line in raw
+		nums  []int  // stream line number of each line
+		line  int
+		first = true
+	)
+	for more := true; more; first = false {
+		raw, ends, nums = raw[:0], ends[:0], nums[:0]
+		for len(ends) < parseWindow {
+			if more = sc.Scan(); !more {
+				break
+			}
+			line++
+			text := bytes.TrimSpace(sc.Bytes())
+			if len(text) == 0 || text[0] == '#' {
+				continue
+			}
+			raw = append(raw, text...)
+			ends = append(ends, len(raw))
+			nums = append(nums, line)
 		}
-		var sp Spec
-		if err := json.Unmarshal([]byte(text), &sp); err != nil {
-			return nil, fmt.Errorf("sched: job stream line %d: %w", line, err)
+		workers := 0 // GOMAXPROCS
+		if first && !more {
+			workers = 1
 		}
-		job, err := sp.Job(defaults)
-		if err != nil {
-			return nil, fmt.Errorf("sched: job stream line %d: %w", line, err)
+		base := len(jobs)
+		jobs = slices.Grow(jobs, len(ends))[:base+len(ends)]
+		errs := make([]error, len(ends))
+		engine.ForEach(len(ends), workers, func(_, i int) {
+			lo := 0
+			if i > 0 {
+				lo = ends[i-1]
+			}
+			var sp Spec
+			if err := json.Unmarshal(raw[lo:ends[i]], &sp); err != nil {
+				errs[i] = err
+				return
+			}
+			jobs[base+i], errs[i] = sp.job(defaults, parseCluster)
+		})
+		for i, err := range errs {
+			if err != nil {
+				return nil, fmt.Errorf("sched: job stream line %d: %w", nums[i], err)
+			}
 		}
-		jobs = append(jobs, job)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("sched: job stream: %w", err)

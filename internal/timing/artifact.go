@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-
-	"repro/internal/pusch"
 )
 
 // Schema versions the calibration artifact. Bump it whenever the
@@ -26,14 +24,12 @@ const DefaultBudgetP95 = 0.05
 // relative to the repository root.
 const DefaultPath = "testdata/calibration.json"
 
-// stageKeys are the short stable artifact names of the chain stages.
-var stageKeys = map[pusch.Stage]string{
-	pusch.StageOFDM: "ofdm",
-	pusch.StageBF:   "bf",
-	pusch.StageCHE:  "che",
-	pusch.StageNE:   "ne",
-	pusch.StageMIMO: "mimo",
-}
+// stageCount is the number of chain stages the model prices.
+const stageCount = 5
+
+// stageKeys are the short stable artifact names of the chain stages, in
+// pusch.Stages order; per-stage model state is indexed the same way.
+var stageKeys = [stageCount]string{"ofdm", "bf", "che", "ne", "mimo"}
 
 // StageFit is one fitted hinge: the per-repetition cycle model of one
 // (cluster, stage, NSC-class) combination. J0 is the wake/barrier

@@ -122,23 +122,25 @@ func CalibrateGrid(clusters []*arch.Config, pts []GridPoint, budget float64) (*C
 		classes := nscClasses(cfgs)
 		cores := cl.NumCores()
 		cf := ClusterFit{Cluster: cl.Name, Cores: cores, Fingerprint: pusch.ArchFingerprint(cl)}
-		for _, st := range pusch.Stages {
+		for i, st := range pusch.Stages {
+			need := features(cfgs[0], cores)[i].n
 			for _, nsc := range classes {
 				var X [][]float64
 				var y []float64
-				for i, cfg := range cfgs {
+				for j, cfg := range cfgs {
 					if cfg.NSC != nsc {
 						continue
 					}
-					X = append(X, features(cfg, cores)[st])
-					y = append(y, float64(walls[i][st].Wall)/reps(cfg)[st])
+					x := features(cfg, cores)[i]
+					X = append(X, x.terms())
+					y = append(y, float64(walls[j][st].Wall)/reps(cfg)[i])
 				}
-				if len(X) < len(features(cfgs[0], cores)[st]) {
+				if len(X) < need {
 					return nil, fmt.Errorf("timing: %d fit points for %s NSC=%d on %s, need at least %d",
-						len(X), stageKeys[st], nsc, cl.Name, len(features(cfgs[0], cores)[st]))
+						len(X), stageKeys[i], nsc, cl.Name, need)
 				}
 				h := fitHinge(X, y)
-				cf.Stages = append(cf.Stages, StageFit{Stage: stageKeys[st], NSC: nsc, J0: h.J0, Beta: h.Beta})
+				cf.Stages = append(cf.Stages, StageFit{Stage: stageKeys[i], NSC: nsc, J0: h.J0, Beta: h.Beta})
 			}
 		}
 		cal.Clusters = append(cal.Clusters, cf)

@@ -31,55 +31,61 @@ func fftBatch(nsc, nr, cores int) int {
 // bfMaxWindows mirrors the beamforming MMM's 4x4-window partitioning
 // (kernels/mmm rowBlocks/colBlocks): the NSC x NB output splits into
 // (NSC/4) x (NB/4) windows dealt across the lanes, and the stage's
-// critical path is the most-loaded lane's window count.
+// critical path is the most-loaded lane's window count. With fewer
+// lanes than row blocks, lane 0 owns the most row blocks and every
+// column block; otherwise lanes split into blocksM rank groups and the
+// busiest lane is a rank-0 lane sharing the column blocks with the
+// fewest peers, lanes/blocksM of them.
 func bfMaxWindows(nsc, nb, lanes int) int {
 	blocksM, blocksP := nsc/4, nb/4
-	wmax := 0
-	for lane := 0; lane < lanes; lane++ {
-		nrb := 1
-		if lanes < blocksM {
-			nrb = (blocksM - lane + lanes - 1) / lanes
-		}
-		rank, cnt := 0, 1
-		if lanes >= blocksM {
-			rank = lane / blocksM
-			cnt = lanes / blocksM
-			if rem := lanes % blocksM; rem != 0 && lane%blocksM < rem {
-				cnt++
-			}
-		}
-		ncb := 0
-		if rank < blocksP {
-			ncb = (blocksP - rank + cnt - 1) / cnt
-		}
-		if w := nrb * ncb; w > wmax {
-			wmax = w
-		}
+	if lanes <= 0 || blocksP <= 0 {
+		return 0
 	}
-	return wmax
+	if lanes < blocksM {
+		return ceilDiv(blocksM, lanes) * blocksP
+	}
+	return ceilDiv(blocksP, lanes/blocksM)
 }
 
-// reps returns how many times each stage's job is issued per slot: the
-// repetition count that multiplies the per-repetition hinge. OFDM and
-// beamforming run once per OFDM symbol, channel estimation once per
-// pilot symbol, the noise combine once per slot, and MIMO detection
-// once per data symbol.
-func reps(cfg pusch.ChainConfig) map[pusch.Stage]float64 {
-	return map[pusch.Stage]float64{
-		pusch.StageOFDM: float64(cfg.NSymb),
-		pusch.StageBF:   float64(cfg.NSymb),
-		pusch.StageCHE:  float64(cfg.NPilot),
-		pusch.StageNE:   1,
-		pusch.StageMIMO: float64(cfg.NSymb - cfg.NPilot),
+// maxFeatures is the widest per-stage feature basis (MIMO's).
+const maxFeatures = 7
+
+// basis is one stage's per-repetition feature vector, held by value so
+// a prediction allocates nothing for it; terms returns the live ones.
+type basis struct {
+	x [maxFeatures]float64
+	n int
+}
+
+func (b *basis) terms() []float64 { return b.x[:b.n] }
+
+func vec(xs ...float64) (b basis) {
+	b.n = copy(b.x[:], xs)
+	return b
+}
+
+// reps returns how many times each stage's job is issued per slot, in
+// pusch.Stages order: the repetition count that multiplies the
+// per-repetition hinge. OFDM and beamforming run once per OFDM symbol,
+// channel estimation once per pilot symbol, the noise combine once per
+// slot, and MIMO detection once per data symbol.
+func reps(cfg pusch.ChainConfig) [stageCount]float64 {
+	return [stageCount]float64{
+		float64(cfg.NSymb),
+		float64(cfg.NSymb),
+		float64(cfg.NPilot),
+		1,
+		float64(cfg.NSymb - cfg.NPilot),
 	}
 }
 
-// features returns each stage's per-repetition work basis: the terms
-// whose calibrated linear combination is the work arm of the hinge.
-// NSC only takes the three values of the calibration classes (64, 256,
-// 1024 — the functional path is memory-bound beyond that), so
-// NSC-dependent occupancy and contention effects fold into the
-// per-class coefficients instead of appearing as terms.
+// features returns each stage's per-repetition work basis, in
+// pusch.Stages order: the terms whose calibrated linear combination is
+// the work arm of the hinge. NSC only takes the three values of the
+// calibration classes (64, 256, 1024 — the functional path is
+// memory-bound beyond that), so NSC-dependent occupancy and contention
+// effects fold into the per-class coefficients instead of appearing as
+// terms.
 //
 //   - OFDM: linear in the FFT batch depth (rounds of concurrent
 //     transforms).
@@ -92,17 +98,17 @@ func reps(cfg pusch.ChainConfig) map[pusch.Stage]float64 {
 //     Gramian (NL^2 * NB), matched filter (NL * NB), Cholesky (NL^3),
 //     triangular solves (NL^2) — on the busiest lane's ceil(NSC/cores)
 //     subcarriers.
-func features(cfg pusch.ChainConfig, cores int) map[pusch.Stage][]float64 {
+func features(cfg pusch.ChainConfig, cores int) [stageCount]basis {
 	nsc, nr, nb, nl := cfg.NSC, cfg.NR, cfg.NB, cfg.NL
 	batch := float64(fftBatch(nsc, nr, cores))
 	wmax := float64(bfMaxWindows(nsc, nb, cores))
 	spc := float64(ceilDiv(nsc, cores))
 	fnl, fnb, fnr := float64(nl), float64(nb), float64(nr)
-	return map[pusch.Stage][]float64{
-		pusch.StageOFDM: {batch, 1},
-		pusch.StageBF:   {wmax * fnr, wmax, 1},
-		pusch.StageCHE:  {spc * fnb, spc, 1},
-		pusch.StageNE:   {spc * fnb, spc, 1},
-		pusch.StageMIMO: {spc * fnl * fnl * fnb, spc * fnl * fnb, spc * fnl * fnl * fnl, spc * fnl * fnl, spc * fnb, spc, 1},
+	return [stageCount]basis{
+		vec(batch, 1),
+		vec(wmax*fnr, wmax, 1),
+		vec(spc*fnb, spc, 1),
+		vec(spc*fnb, spc, 1),
+		vec(spc*fnl*fnl*fnb, spc*fnl*fnb, spc*fnl*fnl*fnl, spc*fnl*fnl, spc*fnb, spc, 1),
 	}
 }

@@ -51,15 +51,17 @@ package timing
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/pusch"
 	"repro/internal/report"
 )
 
-// classKey indexes one fitted hinge inside a cluster's model.
+// classKey indexes one fitted hinge inside a cluster's model: the
+// stage's position in pusch.Stages and the NSC class.
 type classKey struct {
-	stage string
+	stage int
 	nsc   int
 }
 
@@ -86,7 +88,10 @@ func NewModel(cal *Calibration) (*Model, error) {
 		}
 		byClass := make(map[classKey]hinge, len(cf.Stages))
 		for _, sf := range cf.Stages {
-			byClass[classKey{sf.Stage, sf.NSC}] = hinge{J0: sf.J0, Beta: sf.Beta}
+			// Stage names this tree does not price are never looked up.
+			if st := slices.Index(stageKeys[:], sf.Stage); st >= 0 {
+				byClass[classKey{st, sf.NSC}] = hinge{J0: sf.J0, Beta: sf.Beta}
+			}
 		}
 		m.fits[cf.Fingerprint] = byClass
 		m.name[cf.Fingerprint] = cf.Cluster
@@ -146,28 +151,28 @@ func (m *Model) Predict(cfg pusch.ChainConfig) (report.SlotRecord, error) {
 	cores := cfg.Cluster.NumCores()
 	rp := reps(cfg)
 	fx := features(cfg, cores)
-	var phases []report.SlotPhase
+	phases := make([]report.SlotPhase, stageCount)
 	var total int64
-	for _, st := range pusch.Stages {
-		h, ok := byClass[classKey{stageKeys[st], cfg.NSC}]
+	for i, key := range stageKeys {
+		h, ok := byClass[classKey{i, cfg.NSC}]
 		if !ok {
-			return report.SlotRecord{}, fmt.Errorf("timing: no calibrated %s model for NSC=%d on %s; regenerate the calibration", stageKeys[st], cfg.NSC, cfg.Cluster.Name)
+			return report.SlotRecord{}, fmt.Errorf("timing: no calibrated %s model for NSC=%d on %s; regenerate the calibration", key, cfg.NSC, cfg.Cluster.Name)
 		}
-		x := fx[st]
+		x := fx[i].terms()
 		if len(h.Beta) != len(x) {
-			return report.SlotRecord{}, fmt.Errorf("timing: calibrated %s model has %d coefficients, feature basis has %d — stale artifact, regenerate", stageKeys[st], len(h.Beta), len(x))
+			return report.SlotRecord{}, fmt.Errorf("timing: calibrated %s model has %d coefficients, feature basis has %d — stale artifact, regenerate", key, len(h.Beta), len(x))
 		}
-		wall := int64(math.Round(rp[st] * h.predict(x)))
+		wall := int64(math.Round(rp[i] * h.predict(x)))
 		if wall < 0 {
 			wall = 0
 		}
 		total += wall
-		phases = append(phases, report.SlotPhase{
-			Name:    string(st),
+		phases[i] = report.SlotPhase{
+			Name:    string(pusch.Stages[i]),
 			PerPass: wall,
 			Passes:  1,
 			Cycles:  wall,
-		})
+		}
 	}
 	for i := range phases {
 		if total > 0 {
