@@ -148,61 +148,12 @@ func (s *Scenario) runChain(pool *engine.Machines, seed uint64, cache *timecache
 	}
 	res.Cluster = cfg.Cluster.Name
 	res.Cores = cfg.Cluster.NumCores()
-	// Analytic timing resolves before — and entirely instead of — the
-	// cache and the machine pool: the prediction is a pure function of
-	// the scenario coordinate, and analytic records must never enter
-	// the cache (CacheKey refuses them anyway).
-	if cfg.Timing == pusch.TimingAnalytic {
-		if model == nil {
-			res.Error = "campaign: analytic timing requested but no calibration model is loaded (Runner.Model)"
-			return res
-		}
-		rec, err := model.Predict(cfg)
-		if err != nil {
-			res.Error = err.Error()
-			return res
-		}
-		fillFromRecord(&res, rec)
-		return res
-	}
-	// Consult the service-time cache before drawing a machine. A key
-	// derivation error (non-canonical layout, invalid config) bypasses
-	// the cache; invalid configs still surface as Result.Error from the
-	// run itself.
-	key := ""
-	if cache != nil {
-		if k, kerr := cfg.CacheKey(); kerr == nil {
-			key = k
-			if rec, ok := cache.Lookup(key); ok {
-				fillFromRecord(&res, rec)
-				return res
-			}
-		}
-	}
-	m := pool.Get(cfg.Cluster)
-	cr, err := pusch.RunChainTracedOn(m, cfg, tr)
-	pool.Put(m)
+	rec, err := Resolve(pool, cfg, cache, model, measureChain(tr))
 	if err != nil {
 		res.Error = err.Error()
 		return res
 	}
-	res.BER = cr.BER
-	res.EVMdB = cr.EVMdB
-	res.SigmaEst = cr.SigmaEst
-	res.TotalCycles = cr.TotalCycles
-	res.TimeMs = cr.TimeMs
-	rec := cr.Record(cfg)
-	res.PayloadBits = rec.PayloadBits
-	res.ThroughputGbps = rec.ThroughputGbps
-	if cr.TotalCycles > 0 {
-		res.StageShares = make(map[string]float64, len(cr.Stages))
-		for st, rep := range cr.Stages {
-			res.StageShares[string(st)] = float64(rep.Wall) / float64(cr.TotalCycles)
-		}
-	}
-	if key != "" {
-		cache.Add(key, rec)
-	}
+	fillFromRecord(&res, rec)
 	return res
 }
 

@@ -5,8 +5,10 @@
 // cells by a pluggable load-balancing policy (round-robin,
 // least-queue, SINR-aware).
 //
-// Determinism is the package contract, inherited from sched's
-// two-phase discipline and kept through the multi-cell promotion:
+// A fleet runs sched's serving core (sched.Measure, then sched.Replay)
+// and adds only what is specific to fleets: serving-class dedup, the
+// routing policies and handover counting. Determinism is the package
+// contract, inherited from that two-phase core:
 //
 //   - Phase 1 measures every job under every distinct cell serving
 //     class (cluster fingerprint × layout × timing mode) across the

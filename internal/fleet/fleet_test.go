@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -12,6 +13,8 @@ import (
 	"repro/internal/pusch"
 	"repro/internal/report"
 	"repro/internal/sched"
+	"repro/internal/timecache"
+	"repro/internal/timing"
 	"repro/internal/waveform"
 )
 
@@ -239,31 +242,81 @@ func checkConservation(t *testing.T, sum report.FleetSummary) {
 
 // TestSingleCellFleetMatchesScheduler: the degenerate fleet's wire
 // stream is byte-identical to the plain scheduler's on the same mobile
-// trace, real engine and all — the benchgate fleet gate's invariant.
+// trace, real engine and all — the benchgate fleet gate's invariant —
+// across service disciplines and through the analytic model and the
+// service-time cache.
 func TestSingleCellFleetMatchesScheduler(t *testing.T) {
 	base := sched.Mobile(tinyChain(), channel.TDLB, 30, 0)
 	jobs := sched.PoissonTrace(base, 10, 2, 7)
-
-	var plain bytes.Buffer
-	s := &sched.Scheduler{Cfg: sched.Config{Servers: 2, Seed: 1, Workers: 2}}
-	if _, err := s.WriteJSONL(&plain, jobs); err != nil {
-		t.Fatalf("scheduler serve: %v", err)
+	// The fast-path row pins every other job to the analytic model and
+	// serves the rest through a cache the scheduler fills and the fleet
+	// then hits.
+	mixed := append([]sched.Job(nil), jobs...)
+	for i := range mixed {
+		if i%2 == 0 {
+			mixed[i].Chain.Timing = pusch.TimingAnalytic
+		}
 	}
-
-	var fleet bytes.Buffer
-	f := &Fleet{Cfg: Config{Cells: []Cell{{Servers: 2}}, Seed: 1, Workers: 2}}
-	sum, err := f.WriteJSONL(&fleet, jobs)
+	model, err := timing.Load("../../testdata/calibration.json")
 	if err != nil {
-		t.Fatalf("fleet serve: %v", err)
+		t.Fatalf("loading committed calibration: %v", err)
 	}
-	if plain.String() != fleet.String() {
-		t.Fatalf("1-cell fleet stream differs from scheduler stream:\n--- scheduler\n%s--- fleet\n%s", plain.String(), fleet.String())
-	}
-	if strings.Contains(fleet.String(), "fleet-summary") {
-		t.Fatalf("degenerate fleet emitted a fleet-summary line")
-	}
-	if sum.Cells != 1 || len(sum.PerCell) != 1 {
-		t.Fatalf("fleet summary %+v", sum)
+
+	for _, tc := range []struct {
+		name           string
+		servers, queue int
+		fastPaths      bool
+	}{
+		{name: "servers=2", servers: 2},
+		{name: "servers=1/queue=-1", servers: 1, queue: -1},
+		{name: "servers=1/queue=0", servers: 1, queue: 0},
+		{name: "servers=1/queue=2", servers: 1, queue: 2},
+		{name: "servers=3/queue=-1", servers: 3, queue: -1},
+		{name: "servers=3/queue=0", servers: 3, queue: 0},
+		{name: "servers=3/queue=2", servers: 3, queue: 2},
+		{name: "analytic+cache", servers: 1, queue: 2, fastPaths: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			trace := jobs
+			var cache *timecache.Cache
+			var mdl *timing.Model
+			if tc.fastPaths {
+				trace, cache, mdl = mixed, timecache.New(0), model
+			}
+			var plain bytes.Buffer
+			s := &sched.Scheduler{Cfg: sched.Config{
+				Servers: tc.servers, QueueDepth: tc.queue, Seed: 1, Workers: 2, Cache: cache, Model: mdl,
+			}}
+			if _, err := s.WriteJSONL(&plain, trace); err != nil {
+				t.Fatalf("scheduler serve: %v", err)
+			}
+
+			var fleet bytes.Buffer
+			f := &Fleet{Cfg: Config{
+				Cells: []Cell{{Servers: tc.servers, QueueDepth: tc.queue}}, Seed: 1, Workers: 2, Cache: cache, Model: mdl,
+			}}
+			sum, err := f.WriteJSONL(&fleet, trace)
+			if err != nil {
+				t.Fatalf("fleet serve: %v", err)
+			}
+			if plain.String() != fleet.String() {
+				t.Fatalf("1-cell fleet stream differs from scheduler stream:\n--- scheduler\n%s--- fleet\n%s", plain.String(), fleet.String())
+			}
+			if strings.Contains(fleet.String(), "fleet-summary") {
+				t.Fatalf("degenerate fleet emitted a fleet-summary line")
+			}
+			if sum.Cells != 1 || len(sum.PerCell) != 1 {
+				t.Fatalf("fleet summary %+v", sum)
+			}
+			if tc.fastPaths {
+				if !strings.Contains(fleet.String(), `"timing":"analytic"`) {
+					t.Fatalf("analytic jobs were not served from the model")
+				}
+				if sum.Host.CacheMisses != 0 || sum.Host.CacheHits == 0 {
+					t.Fatalf("fleet serve should hit the cache the scheduler filled: %+v", sum.Host)
+				}
+			}
+		})
 	}
 }
 
@@ -332,4 +385,54 @@ func equalInts(a, b []int) bool {
 		}
 	}
 	return true
+}
+
+// TestHostileArrivalsFail: an arrival beyond sched.MaxArrival (which
+// used to overflow finish_cycle) and a negative arrival both fail
+// before measurement, with a reason naming the bound, through the plain
+// scheduler and through a 2-cell SINR fleet — and no record or summary
+// carries a negative cycle count.
+func TestHostileArrivalsFail(t *testing.T) {
+	jobs, err := sched.ReadJobs(strings.NewReader("{\"arrival_cycle\":9223372036854775807}\n{\"arrival_cycle\":-5}\n"), tinyChain())
+	if err != nil {
+		t.Fatalf("ReadJobs: %v", err)
+	}
+	check := func(t *testing.T, stream string, results []sched.JobResult) {
+		t.Helper()
+		for _, r := range results {
+			if r.Outcome != sched.Failed || !strings.Contains(r.Error, strconv.FormatInt(sched.MaxArrival, 10)) {
+				t.Fatalf("job %d (arrival %d): outcome %s, error %q; want failed naming the bound", r.Job, r.Arrival, r.Outcome, r.Error)
+			}
+		}
+		for _, field := range []string{`"finish_cycle":-`, `"horizon_cycles":-`} {
+			if strings.Contains(stream, field) {
+				t.Fatalf("stream carries %s...:\n%s", field, stream)
+			}
+		}
+	}
+	t.Run("scheduler", func(t *testing.T) {
+		s := &sched.Scheduler{Cfg: sched.Config{Workers: 1}}
+		results, sum := s.Serve(jobs)
+		var buf bytes.Buffer
+		if _, err := s.WriteJSONL(&buf, jobs); err != nil {
+			t.Fatalf("serve: %v", err)
+		}
+		check(t, buf.String(), results)
+		if sum.Failed != 2 || sum.HorizonCycles != 0 {
+			t.Fatalf("summary %+v, want 2 failed over an empty horizon", sum)
+		}
+	})
+	t.Run("fleet", func(t *testing.T) {
+		f := &Fleet{Cfg: Config{Cells: Homogeneous(2, Cell{}), Policy: SINRAware, Workers: 1}}
+		results, sum := f.Serve(jobs)
+		var buf bytes.Buffer
+		if _, err := f.WriteJSONL(&buf, jobs); err != nil {
+			t.Fatalf("serve: %v", err)
+		}
+		check(t, buf.String(), results)
+		checkConservation(t, sum)
+		if sum.Failed != 2 || sum.HorizonCycles != 0 {
+			t.Fatalf("summary %+v, want 2 failed over an empty horizon", sum)
+		}
+	})
 }

@@ -25,22 +25,13 @@ const (
 // exposition.
 func (f *Fleet) recordMetrics(reg *obs.Registry, results []sched.JobResult, sum *report.FleetSummary, handoversTo []int, host *report.HostStats) {
 	n := len(sum.PerCell)
-	perCell := make([][]sched.JobResult, n)
-	for i := range results {
-		c := results[i].Cell
-		perCell[c] = append(perCell[c], results[i])
-	}
 	for c := 0; c < n; c++ {
 		cell := strconv.Itoa(c)
-		sched.RecordServiceMetrics(reg, cell, perCell[c], &sum.PerCell[c])
+		sched.RecordServiceMetrics(reg, cell, results, &sum.PerCell[c])
 		h := reg.Counter(MetricHandovers, "mobile-UE handovers by destination cell", "cell", cell)
 		h.Add(int64(handoversTo[c]))
 	}
 	reg.Gauge(MetricCells, "cells in the fleet deployment").SetInt(int64(n))
 	reg.Gauge(MetricMobileUEs, "distinct mobile-UE fading identities in the served trace").SetInt(int64(sum.MobileUEs))
-	entries := 0
-	if f.Cfg.Cache != nil {
-		entries = f.Cfg.Cache.Stats().Entries
-	}
-	sched.RecordHostMetrics(reg, host, sum.Pool, entries)
+	sched.RecordHostMetrics(reg, host, sum.Pool, f.Cfg.Cache)
 }

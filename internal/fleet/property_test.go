@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand/v2"
 	"strings"
 	"testing"
 
 	"repro/internal/channel"
 	"repro/internal/pusch"
+	"repro/internal/report"
 	"repro/internal/sched"
 	"repro/internal/timecache"
 	"repro/internal/timing"
@@ -249,6 +251,142 @@ func TestFleetWriteJSONLAcrossEncodeWindows(t *testing.T) {
 			ref = got
 		} else if got != ref {
 			t.Fatalf("workers=%d: stream differs from workers=1", workers)
+		}
+	}
+}
+
+// TestReplayInvariantsRandomized drives the one replay loop with
+// stubbed service times over random traces — shuffled input order,
+// bursts of simultaneous arrivals, roaming UEs and jobs that fail in
+// every cell — across cell counts {1,2,3}, every policy, queue depths
+// {-1,0,2} and servers {1,3}. Every run must keep finish >= start >=
+// arrival, conserve outcomes per cell and fleet-wide, have per-cell
+// sums equal to the fleet totals, start each cell's jobs in FIFO order,
+// and admit or drop each arrival as the cell's servers and queue
+// capacity dictate.
+func TestReplayInvariantsRandomized(t *testing.T) {
+	rng := rand.New(rand.NewPCG(13, 17))
+	for _, cells := range []int{1, 2, 3} {
+		for _, policy := range Policies() {
+			for _, queue := range []int{-1, 0, 2} {
+				for _, servers := range []int{1, 3} {
+					jobs := make([]sched.Job, 80)
+					var at int64
+					for i := range jobs {
+						if rng.IntN(4) > 0 {
+							at += rng.Int64N(400)
+						}
+						j := stubJob(fmt.Sprintf("j%d", i), at, 1+rng.Int64N(900))
+						if rng.IntN(2) == 0 {
+							j = stubUEJob(j.Name, at, int64(j.Chain.Seed), uint64(1+rng.IntN(6)))
+						}
+						if rng.IntN(10) == 0 {
+							j.Chain.SNRdB = -1 // fails in every cell
+						}
+						jobs[i] = j
+					}
+					rng.Shuffle(len(jobs), func(a, b int) { jobs[a], jobs[b] = jobs[b], jobs[a] })
+					cfg := Config{
+						Cells:  Homogeneous(cells, Cell{Servers: servers, QueueDepth: queue}),
+						Policy: policy, Workers: 2,
+					}
+					results, sum := stubFleet(cfg).Serve(jobs)
+					name := fmt.Sprintf("cells=%d/%s/queue=%d/servers=%d", cells, policy, queue, servers)
+					checkReplayInvariants(t, name, len(jobs), results, sum)
+					checkAdmissions(t, name, results, sched.NewLane(0, servers, queue, nil))
+				}
+			}
+		}
+	}
+}
+
+// checkReplayInvariants asserts the replay loop's invariants on one
+// served trace (see TestReplayInvariantsRandomized).
+func checkReplayInvariants(t *testing.T, name string, jobs int, results []sched.JobResult, sum report.FleetSummary) {
+	t.Helper()
+	if len(results) != jobs || sum.Jobs != jobs {
+		t.Fatalf("%s: %d results, summary %d jobs, want %d", name, len(results), sum.Jobs, jobs)
+	}
+	checkConservation(t, sum)
+	type tally struct{ jobs, served, dropped, failed int }
+	perCell := make([]tally, sum.Cells)
+	lastStart := make([]int64, sum.Cells)
+	var prevArrival int64
+	for pos, r := range results {
+		if r.Job != pos || (pos > 0 && r.Arrival < prevArrival) {
+			t.Fatalf("%s: result %d (job %d, arrival %d) out of arrival order", name, pos, r.Job, r.Arrival)
+		}
+		prevArrival = r.Arrival
+		c := &perCell[r.Cell]
+		c.jobs++
+		switch r.Outcome {
+		case sched.Served:
+			c.served++
+			rec := r.Record
+			if rec.ArrivalCycle != r.Arrival || rec.StartCycle < rec.ArrivalCycle || rec.FinishCycle < rec.StartCycle ||
+				rec.FinishCycle-rec.StartCycle != r.ServiceCycles || rec.Cell != r.Cell {
+				t.Fatalf("%s: job %d scheduled %+v (service %d, cell %d)", name, pos, rec, r.ServiceCycles, r.Cell)
+			}
+			if rec.StartCycle < lastStart[r.Cell] {
+				t.Fatalf("%s: job %d starts at %d on cell %d, before an earlier arrival's start %d (not FIFO)",
+					name, pos, rec.StartCycle, r.Cell, lastStart[r.Cell])
+			}
+			lastStart[r.Cell] = rec.StartCycle
+		case sched.Dropped:
+			c.dropped++
+		case sched.Failed:
+			c.failed++
+		default:
+			t.Fatalf("%s: job %d has outcome %q", name, pos, r.Outcome)
+		}
+	}
+	for i, c := range perCell {
+		cs := sum.PerCell[i]
+		if c.served+c.dropped+c.failed != c.jobs ||
+			c != (tally{cs.Jobs, cs.Served, cs.Dropped, cs.Failed}) {
+			t.Fatalf("%s: cell %d results %+v, summary %d jobs = %d served + %d dropped + %d failed",
+				name, i, c, cs.Jobs, cs.Served, cs.Dropped, cs.Failed)
+		}
+	}
+}
+
+// checkAdmissions reconstructs each cell's busy servers and waiting
+// jobs at every arrival from the served records, and checks the G/D/c/K
+// admission rule: a job starts at its arrival only onto a free server
+// with nobody waiting, waits only behind busy servers or earlier
+// waiters in a queue below capacity, and is dropped only by a full
+// queue.
+func checkAdmissions(t *testing.T, name string, results []sched.JobResult, lane sched.Lane) {
+	t.Helper()
+	for pos, r := range results {
+		if r.Outcome == sched.Failed {
+			continue
+		}
+		busy, waiting := 0, 0
+		for _, e := range results[:pos] {
+			if e.Cell != r.Cell || e.Outcome != sched.Served {
+				continue
+			}
+			switch rec := e.Record; {
+			case rec.StartCycle > r.Arrival:
+				waiting++
+			case rec.FinishCycle > r.Arrival:
+				busy++
+			}
+		}
+		full := busy == lane.Servers || waiting > 0
+		var ok bool
+		switch {
+		case r.Outcome == sched.Dropped:
+			ok = full && waiting == lane.QueueCap
+		case r.Record.StartCycle == r.Arrival:
+			ok = !full
+		default:
+			ok = full && waiting < lane.QueueCap
+		}
+		if !ok {
+			t.Fatalf("%s: job %d %s (start %d, arrival %d) with %d busy of %d servers, %d waiting of %d",
+				name, pos, r.Outcome, r.Record.StartCycle, r.Arrival, busy, lane.Servers, waiting, lane.QueueCap)
 		}
 	}
 }

@@ -28,6 +28,11 @@
 //     assigning measured service times to servers, accumulating
 //     queue-wait cycles and deciding drops.
 //
+// The two phases are Measure and Replay, and internal/fleet runs the
+// same two: Measure takes a list of serving classes and Replay a list
+// of per-cell lanes and a route function. A Scheduler is one class, one
+// lane and every job routed to lane 0.
+//
 // Because admission is decided in phase 2, a dropped job's measurement
 // is discarded — the price of measuring in parallel — but its payload
 // still counts as offered load. Results are byte-reproducible: the same

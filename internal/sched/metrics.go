@@ -4,6 +4,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/report"
+	"repro/internal/timecache"
 )
 
 // Metric families recorded by the serving layers. The sched families
@@ -45,10 +46,11 @@ func withLabels(base []string, extra ...string) []string {
 
 // RecordServiceMetrics folds one run's per-job outcomes and aggregate
 // summary into the registry: outcome counters, wait/sojourn histograms
-// over served jobs, payload counters and the utilization gauge. cell
-// labels the series inside a fleet ("" for a standalone scheduler). The
-// fleet layer reuses it per cell, so fleet and standalone runs expose
-// the same families.
+// over served jobs, payload counters and the utilization gauge. results
+// may span a whole fleet run: only those routed to sum.Cell are
+// observed. cell labels the series inside a fleet ("" for a standalone
+// scheduler). The fleet layer reuses it per cell, so fleet and
+// standalone runs expose the same families.
 func RecordServiceMetrics(reg *obs.Registry, cell string, results []JobResult, sum *report.ServiceSummary) {
 	if reg == nil {
 		return
@@ -57,7 +59,7 @@ func RecordServiceMetrics(reg *obs.Registry, cell string, results []JobResult, s
 	waitH := reg.Histogram(MetricWaitCycles, "queue wait of served jobs in simulated cycles", obs.DefaultCycleBuckets, lb...)
 	latH := reg.Histogram(MetricLatencyCycles, "arrival-to-finish sojourn of served jobs in simulated cycles", obs.DefaultCycleBuckets, lb...)
 	for i := range results {
-		if r := &results[i]; r.Outcome == Served {
+		if r := &results[i]; r.Outcome == Served && r.Cell == sum.Cell {
 			waitH.Observe(r.Record.WaitCycles)
 			latH.Observe(r.Record.LatencyCycles)
 		}
@@ -73,16 +75,21 @@ func RecordServiceMetrics(reg *obs.Registry, cell string, results []JobResult, s
 
 // RecordHostMetrics folds the host-side fast-path picture — the
 // service-time cache traffic attributed to one run and the simulator
-// machine-pool occupancy behind it — into the registry. Unlike the
+// machine-pool occupancy behind it, plus the resident entries of cache
+// (nil means none) — into the registry. Unlike the
 // service families these mirror HostStats/PoolStats: they describe the
 // host, and the pool figures vary with the measurement worker count.
-func RecordHostMetrics(reg *obs.Registry, host *report.HostStats, pool *engine.PoolStats, cacheEntries int) {
+func RecordHostMetrics(reg *obs.Registry, host *report.HostStats, pool *engine.PoolStats, cache *timecache.Cache) {
 	if reg == nil {
 		return
 	}
+	entries := 0
+	if cache != nil {
+		entries = cache.Stats().Entries
+	}
 	reg.Counter(MetricCacheHits, "service-time cache hits").Add(host.CacheHits)
 	reg.Counter(MetricCacheMisses, "service-time cache misses").Add(host.CacheMisses)
-	reg.Gauge(MetricCacheEntries, "service-time cache resident entries").SetInt(int64(cacheEntries))
+	reg.Gauge(MetricCacheEntries, "service-time cache resident entries").SetInt(int64(entries))
 	if pool == nil {
 		return
 	}

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"repro/internal/campaign"
 	"repro/internal/obs"
 	"repro/internal/pusch"
 	"repro/internal/report"
@@ -22,7 +21,8 @@ type Job struct {
 	// name, or the spec's own name). Empty names stay empty.
 	Name string
 	// Arrival is the job's arrival time in simulated cycles at the
-	// nominal 1 GHz clock (1e6 cycles per millisecond).
+	// nominal 1 GHz clock (1e6 cycles per millisecond). Arrivals outside
+	// [0, MaxArrival] fail.
 	Arrival int64
 	// Chain is the slot to run. A zero Seed is replaced by a
 	// deterministic per-job seed derived from Config.Seed and the job's
@@ -80,8 +80,8 @@ const (
 	Served Outcome = "served"
 	// Dropped jobs found the bounded queue full on arrival.
 	Dropped Outcome = "dropped"
-	// Failed jobs were rejected at dispatch (invalid configuration) and
-	// never occupied a server.
+	// Failed jobs were rejected at dispatch (invalid configuration or
+	// an arrival outside [0, MaxArrival]) and never occupied a server.
 	Failed Outcome = "failed"
 )
 
@@ -108,12 +108,4 @@ type JobResult struct {
 	OfferedBits int64
 	// Record is the service-level telemetry record of a served job.
 	Record report.JobRecord
-}
-
-// jobSeed derives the fallback per-job payload seed from the scheduler
-// base and the job's arrival-order position, with the campaign runner's
-// mixing. It only applies to jobs that did not pin a seed — generated
-// traces and campaign adaptations (FromScenarios) pre-stamp theirs.
-func jobSeed(base uint64, index int) uint64 {
-	return campaign.DeriveSeed(base, index)
 }

@@ -138,7 +138,7 @@ func trafficRNG(seed uint64) (*rand.Rand, uint64) {
 // slots carry distinct payload) and an index-stamped name.
 func stampJob(prefix string, i int, arrival int64, seed uint64, pop UEPopulation, cfg pusch.ChainConfig) Job {
 	if cfg.Seed == 0 {
-		cfg.Seed = jobSeed(seed, i)
+		cfg.Seed = campaign.DeriveSeed(seed, i)
 	}
 	stampChannel(&cfg, i, arrival, seed, pop)
 	return Job{
