@@ -70,10 +70,11 @@
 // budget). docs/TIMING.md specifies the analytic model.
 //
 // The cycle-accurate path itself is engineered to be cheap on the
-// host without moving a simulated cycle: bulk access ops batch kernel
-// load/store spans with scalar-identical timing, the bank-reservation
-// table runs allocation-free epochs, and the interpreter hot path is
-// flattened against hoisted cluster invariants. The bulk-access
+// host without moving a simulated cycle: the bank-reservation table
+// runs allocation-free epochs, and the interpreter hot path is
+// flattened against hoisted cluster invariants. Bulk access ops are
+// loops over the one scalar load/store issue path, so a kernel's
+// load/store span has scalar timing by construction. The bulk-access
 // contract, the gates pinning cycle-exactness (property test plus
 // benchgate baselines) and the host-throughput measurement loop
 // (BENCH `host` section, CI smoke gate, committed pprof profiles in

@@ -1,25 +1,16 @@
 package engine
 
-import (
-	"repro/internal/arch"
-	"repro/internal/fixed"
-)
+import "repro/internal/arch"
 
 // Bulk access operations.
 //
 // Kernel inner loops spend most of their simulated instructions on
-// regularly-strided loads and stores. The methods below issue a whole
-// span of them in one call, with per-word timing that mirrors the
-// scalar Load/Store path exactly — same issue cycle, same fetch-tax
-// accrual, same bank-reservation order, same LSU-ring occupancy, same
-// stall attribution — so converting a kernel from a scalar loop to a
-// bulk call can never move a simulated cycle (the property test in
-// bulk_test.go and the benchgate baselines both pin this). What the
-// bulk path saves is host work: the core's clock, tax accumulator and
-// LSU ring live in locals across the span, and the bank of each word
-// is tracked incrementally (bank' = bank + stride mod NumBanks) instead
-// of re-deriving it from the address map, which removes the per-word
-// divisions and per-field flushes of the scalar path.
+// regularly-strided loads and stores. The methods below name a whole
+// span of them in one call. Each is a plain loop over the scalar Load
+// or Store, so a span's timing is the scalar sequence by construction:
+// every word runs through the one memory issue path (Proc.issue) —
+// issue cycle, fetch tax, bank level, reservation, LSU ring — in order,
+// with nothing interleaved.
 //
 // The contract for kernels: a bulk op may replace a run of consecutive
 // scalar Loads (or Stores) only when no other Proc instruction would
@@ -27,115 +18,12 @@ import (
 // back-to-back, exactly like the unrolled scalar sequence. See
 // docs/ARCHITECTURE.md, "Engine performance model".
 
-// bulkState caches the per-core interpreter state that every word of a
-// span touches, so the loop runs out of registers and flushes once.
-type bulkState struct {
-	now      int64
-	taxAcc   int64
-	icStall  int64
-	lsuStall int64
-	rawStall int64
-	head     int
-	llen     int
-}
-
-func (p *Proc) bulkBegin() bulkState {
-	return bulkState{now: p.now, taxAcc: p.taxAcc, head: p.lsuHead, llen: p.lsuLen}
-}
-
-func (p *Proc) bulkEnd(s *bulkState, loads, stores int64) {
-	p.now = s.now
-	p.taxAcc = s.taxAcc
-	p.lsuHead = s.head
-	p.lsuLen = s.llen
-	p.st.Instrs += loads + stores
-	p.st.Loads += loads
-	p.st.Stores += stores
-	p.st.ICacheStalls += s.icStall
-	p.st.LsuStalls += s.lsuStall
-	p.st.RawStalls += s.rawStall
-}
-
-// issueWord advances one load/store issue: one cycle, the fetch tax,
-// the bank booking, and the LSU-ring push — the per-word timing core
-// shared by every bulk op. It returns the access completion cycle.
-func (p *Proc) issueWord(s *bulkState, bank int) int64 {
-	issueAt := s.now
-	s.now++
-	if p.taxNum != 0 {
-		s.taxAcc += p.taxNum
-		if s.taxAcc >= p.taxDen {
-			stall := s.taxAcc / p.taxDen
-			s.taxAcc -= stall * p.taxDen
-			s.now += stall
-			s.icStall += stall
-		}
-	}
-	lvl := arch.LevelRemote
-	if bank >= p.tLo && bank < p.tHi {
-		lvl = arch.LevelLocal
-	} else if bank >= p.gLo && bank < p.gHi {
-		lvl = arch.LevelGroup
-	}
-	slot := p.m.Mem.Res.Acquire(bank, issueAt+p.latReq[lvl])
-	done := slot + 1 + p.latResp[lvl]
-	depth := len(p.lsu)
-	if s.llen == depth {
-		oldest := p.lsu[s.head]
-		if oldest > s.now {
-			s.lsuStall += oldest - s.now
-			s.now = oldest
-		}
-		s.head++
-		if s.head == depth {
-			s.head = 0
-		}
-		s.llen--
-	}
-	i := s.head + s.llen
-	if i >= depth {
-		i -= depth
-	}
-	p.lsu[i] = done
-	s.llen++
-	return done
-}
-
-// bankStep normalizes an element stride to a non-negative per-word bank
-// increment modulo the bank count.
-func (p *Proc) bankStep(stride int) int {
-	step := stride % p.nb
-	if step < 0 {
-		step += p.nb
-	}
-	return step
-}
-
 // LoadVec issues len(dst) loads from base, base+stride, base+2*stride,
-// ... back to back, filling dst. Cycle-identical to the scalar loop
-//
-//	for i := range dst { dst[i] = p.Load(base + Addr(i*stride)) }
+// ... back to back, filling dst.
 func (p *Proc) LoadVec(base arch.Addr, stride int, dst []W) {
-	if len(dst) == 0 {
-		return
-	}
-	s := p.bulkBegin()
-	bank := p.bankOf(base)
-	step := p.bankStep(stride)
-	addr := base
 	for i := range dst {
-		done := p.issueWord(&s, bank)
-		if p.m.DebugRaces {
-			p.m.raceCheckRead(p.Core, addr)
-		}
-		dst[i] = W{B: fixed.C15(p.m.Mem.Read(addr)), At: done, Mem: true}
-		addr += arch.Addr(stride)
-		bank += step
-		if bank >= p.nb {
-			bank -= p.nb
-		}
+		dst[i] = p.Load(base + arch.Addr(i*stride))
 	}
-	p.bulkEnd(&s, int64(len(dst)), 0)
 }
 
 // LoadSpan issues len(dst) loads from consecutive addresses starting at
@@ -143,70 +31,23 @@ func (p *Proc) LoadVec(base arch.Addr, stride int, dst []W) {
 func (p *Proc) LoadSpan(base arch.Addr, dst []W) { p.LoadVec(base, 1, dst) }
 
 // LoadGather issues one load per address in addrs, back to back,
-// filling dst (which must be at least as long). Cycle-identical to the
-// scalar loop over p.Load(addrs[i]).
+// filling dst (which must be at least as long).
 func (p *Proc) LoadGather(addrs []arch.Addr, dst []W) {
-	if len(addrs) == 0 {
-		return
-	}
-	s := p.bulkBegin()
 	for i, addr := range addrs {
-		done := p.issueWord(&s, p.bankOf(addr))
-		if p.m.DebugRaces {
-			p.m.raceCheckRead(p.Core, addr)
-		}
-		dst[i] = W{B: fixed.C15(p.m.Mem.Read(addr)), At: done, Mem: true}
+		dst[i] = p.Load(addr)
 	}
-	p.bulkEnd(&s, int64(len(addrs)), 0)
 }
 
 // Load2 issues two back-to-back loads (the common paired-operand case:
 // both factors of a MAC fetched in consecutive cycles).
-func (p *Proc) Load2(a0, a1 arch.Addr) (W, W) {
-	var addrs [2]arch.Addr
-	var dst [2]W
-	addrs[0], addrs[1] = a0, a1
-	p.LoadGather(addrs[:], dst[:])
-	return dst[0], dst[1]
-}
-
-// storeWord performs the operand wait + issue of one bulk store.
-func (p *Proc) storeWord(s *bulkState, addr arch.Addr, bank int, w W) {
-	if w.At > s.now {
-		if w.Mem {
-			s.lsuStall += w.At - s.now
-		} else {
-			s.rawStall += w.At - s.now
-		}
-		s.now = w.At
-	}
-	p.issueWord(s, bank)
-	if p.m.DebugRaces {
-		p.m.raceCheckWrite(p.Core, addr)
-	}
-	p.m.Mem.Write(addr, uint32(w.B))
-}
+func (p *Proc) Load2(a0, a1 arch.Addr) (W, W) { return p.Load(a0), p.Load(a1) }
 
 // StoreVec issues len(src) stores to base, base+stride, ... back to
-// back. Cycle-identical to the scalar loop over p.Store: each word
-// first waits for its operand, then issues.
+// back; each word first waits for its operand, then issues.
 func (p *Proc) StoreVec(base arch.Addr, stride int, src []W) {
-	if len(src) == 0 {
-		return
+	for i, w := range src {
+		p.Store(base+arch.Addr(i*stride), w)
 	}
-	s := p.bulkBegin()
-	bank := p.bankOf(base)
-	step := p.bankStep(stride)
-	addr := base
-	for i := range src {
-		p.storeWord(&s, addr, bank, src[i])
-		addr += arch.Addr(stride)
-		bank += step
-		if bank >= p.nb {
-			bank -= p.nb
-		}
-	}
-	p.bulkEnd(&s, 0, int64(len(src)))
 }
 
 // StoreSpan issues len(src) stores to consecutive addresses starting at
@@ -214,14 +55,9 @@ func (p *Proc) StoreVec(base arch.Addr, stride int, src []W) {
 func (p *Proc) StoreSpan(base arch.Addr, src []W) { p.StoreVec(base, 1, src) }
 
 // StoreScatter issues one store per address in addrs, back to back,
-// draining src. Cycle-identical to the scalar loop over p.Store.
+// draining src.
 func (p *Proc) StoreScatter(addrs []arch.Addr, src []W) {
-	if len(addrs) == 0 {
-		return
-	}
-	s := p.bulkBegin()
 	for i, addr := range addrs {
-		p.storeWord(&s, addr, p.bankOf(addr), src[i])
+		p.Store(addr, src[i])
 	}
-	p.bulkEnd(&s, 0, int64(len(addrs)))
 }

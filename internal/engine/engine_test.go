@@ -706,7 +706,7 @@ func TestWakeCostTileUnionAcrossGroups(t *testing.T) {
 
 // TestStatsSubAndAdd round-trips the counter arithmetic.
 func TestStatsSubAndAdd(t *testing.T) {
-	a := Stats{Instrs: 10, IAlu: 4, Loads: 3, Stores: 2, Mults: 1, Divs: 1,
+	a := Stats{Instrs: 10, IAlu: 4, Loads: 3, Stores: 2, Divs: 1,
 		MACs: 1, RawStalls: 5, LsuStalls: 6, ExtStalls: 7, WfiStalls: 8, ICacheStalls: 9}
 	var b Stats
 	b.Add(a)
@@ -721,84 +721,222 @@ func TestStatsSubAndAdd(t *testing.T) {
 	}
 }
 
-// TestRandomProgramAccounting drives the engine with randomized op
-// sequences and asserts the core invariant: every cycle of every core is
-// attributed to exactly one bucket, clocks are monotonic, and the run is
-// deterministic.
-func TestRandomProgramAccounting(t *testing.T) {
-	for seed := uint64(1); seed <= 20; seed++ {
-		cfg := arch.MemPool()
-		m := NewMachine(cfg)
-		base, err := m.Mem.AllocSeq(4096)
-		if err != nil {
-			t.Fatal(err)
+// accountingDigest folds core clocks and every Stats counter into one
+// FNV-1a value, so a test can pin the exact per-op cycle model.
+func accountingDigest(times []int64, stats []Stats) uint64 {
+	h := uint64(14695981039346656037)
+	mix := func(v int64) {
+		for i := 0; i < 8; i++ {
+			h ^= uint64(v>>(8*i)) & 0xff
+			h *= 1099511628211
 		}
-		cores := []int{0, 1, 2, 3, 17, 42, 200, 255}
-		prog := func(p *Proc) {
-			// Deterministic per-core op soup.
-			s := seed*1000003 + uint64(p.Lane)*7919
-			next := func() uint64 { s = s*6364136223846793005 + 1442695040888963407; return s >> 33 }
-			var w W
-			var acc A
-			for i := 0; i < 200; i++ {
-				addr := arch.Addr(uint64(p.Lane*512) + next()%512)
-				switch next() % 8 {
-				case 0:
-					p.Tick(int(next()%4) + 1)
-				case 1:
-					w = p.Load(base + addr)
-				case 2:
-					p.Store(base+addr, w)
-				case 3:
-					w = p.CAdd(w, w)
-				case 4:
-					w = p.CMul(w, w)
-				case 5:
-					acc = p.Mac(acc, w, w)
-				case 6:
-					w = p.Narrow(acc, 4)
-				case 7:
-					w = p.SqrtRe(acc)
+	}
+	for i, s := range stats {
+		mix(times[i])
+		for _, v := range []int64{s.Instrs, s.IAlu, s.Loads, s.Stores, s.Divs, s.MACs,
+			s.RawStalls, s.LsuStalls, s.ExtStalls, s.WfiStalls, s.ICacheStalls} {
+			mix(v)
+		}
+	}
+	return h
+}
+
+// TestRandomProgramAccounting drives the engine with randomized op
+// sequences over every issuing Proc op and asserts the core invariant:
+// every cycle of every core is attributed to exactly one bucket, clocks
+// are monotonic, and the run is deterministic. Each seed's core clocks
+// and stats are pinned by digest, so any drift in the shared per-op
+// cycle model (issue, fetch tax, bank level, reservation, LSU ring,
+// divide unit) fails here even where scalar and bulk ops would still
+// agree with each other. It runs on MemPool and on a 54-bank geometry,
+// which takes the non-power-of-two path of the bank map.
+func TestRandomProgramAccounting(t *testing.T) {
+	geoms := []struct {
+		cfg    *arch.Config
+		cores  []int
+		region int // words of private address space per lane
+		want   [20]uint64
+	}{
+		{arch.MemPool(), []int{0, 1, 2, 3, 17, 42, 200, 255}, 512, [20]uint64{
+			0x1853d5940b4c716d, 0x96107273bc6e5111, 0xe75227ea41a80a90, 0x3ca55824b0229282,
+			0x57935faedac994cf, 0xad36fd2471a8a02c, 0x4f9ad6008aaf86bd, 0x508a023e86d8be11,
+			0xcbc1c944e22a147b, 0x9d3b63c74bac9ab1, 0xbc6a121710ba13e4, 0xb7a074fb7ef1f8e,
+			0x94e67a43aebf1d8e, 0x2b96e0f20190a6eb, 0x3fc980dfe511cfac, 0xe69bc74d3fefa31f,
+			0x8bea2a19998a0233, 0xe974d6d6a310933e, 0xecacc2ca90163d1e, 0xe2808ef12c03b54d,
+		}},
+		{propCfg("prop-3g", 3, 2, 3, 3), []int{0, 1, 4, 7, 11, 17}, 256, [20]uint64{
+			0xbfaab6efa5a35f82, 0x894f55e9f46b4311, 0x26a58716a9eaf238, 0x1c70ccf9fe8a113,
+			0xe1b780485aec980, 0x83ff19d2d49073d, 0x9b3466c8f9f5771, 0xfe5b49e07df259f0,
+			0xbae093c1a7fbf0b5, 0xb2c2f05bd5eb5a9c, 0x897aa20c9b17a4ad, 0x577d122bc188800,
+			0xa3834a798c36fd89, 0xf089385c7b7144b5, 0x3e49e6446a4baf1a, 0xcbec5d4515dd6c0c,
+			0x2f8b8ae00fd50fb3, 0xc338af872d3fea8e, 0xb6831d45fc0dfa03, 0xd768d5d1bad40b94,
+		}},
+	}
+	for _, g := range geoms {
+		for seed := uint64(1); seed <= 20; seed++ {
+			run := func() ([]int64, []Stats) {
+				m := NewMachine(g.cfg)
+				arena, err := m.Mem.AllocSeq(g.region * len(g.cores))
+				if err != nil {
+					t.Fatal(err)
+				}
+				prog := randomProgram(seed, arena, g.region)
+				if err := m.Run(Job{Name: "fuzz", Cores: g.cores, Phases: []Phase{{Name: "p", Work: prog}}}); err != nil {
+					t.Fatal(err)
+				}
+				times := make([]int64, len(g.cores))
+				stats := make([]Stats, len(g.cores))
+				for i, c := range g.cores {
+					times[i] = m.CoreTime(c)
+					stats[i] = m.CoreStats(c)
+				}
+				return times, stats
+			}
+			t1, s1 := run()
+			for i, c := range g.cores {
+				if s1[i].Busy() != t1[0] {
+					t.Fatalf("%s seed %d core %d: attributed %d of %d cycles", g.cfg.Name, seed, c, s1[i].Busy(), t1[0])
+				}
+				if t1[i] != t1[0] {
+					t.Fatalf("%s seed %d: cores not aligned after barrier", g.cfg.Name, seed)
 				}
 			}
-		}
-		run := func() ([]int64, []Stats) {
-			mm := NewMachine(cfg)
-			b2, err := mm.Mem.AllocSeq(4096)
-			if err != nil {
-				t.Fatal(err)
+			// Determinism: a fresh machine must reproduce identical timing.
+			t2, s2 := run()
+			for i := range t1 {
+				if t1[i] != t2[i] || s1[i] != s2[i] {
+					t.Fatalf("%s seed %d: nondeterministic replay at core %d", g.cfg.Name, seed, g.cores[i])
+				}
 			}
-			_ = b2
-			if err := mm.Run(Job{Name: "fuzz", Cores: cores, Phases: []Phase{{Name: "p", Work: prog}}}); err != nil {
-				t.Fatal(err)
-			}
-			times := make([]int64, len(cores))
-			stats := make([]Stats, len(cores))
-			for i, c := range cores {
-				times[i] = mm.CoreTime(c)
-				stats[i] = mm.CoreStats(c)
-			}
-			return times, stats
-		}
-		if err := m.Run(Job{Name: "fuzz", Cores: cores, Phases: []Phase{{Name: "p", Work: prog}}}); err != nil {
-			t.Fatal(err)
-		}
-		end := m.CoreTime(cores[0])
-		for _, c := range cores {
-			s := m.CoreStats(c)
-			if s.Busy() != end {
-				t.Fatalf("seed %d core %d: attributed %d of %d cycles", seed, c, s.Busy(), end)
-			}
-			if m.CoreTime(c) != end {
-				t.Fatalf("seed %d: cores not aligned after barrier", seed)
+			if got := accountingDigest(t1, s1); got != g.want[seed-1] {
+				t.Errorf("%s seed %d: accounting digest %#x, want %#x", g.cfg.Name, seed, got, g.want[seed-1])
 			}
 		}
-		// Determinism: a fresh machine must reproduce identical timing.
-		t1, s1 := run()
-		t2, s2 := run()
-		for i := range t1 {
-			if t1[i] != t2[i] || s1[i] != s2[i] {
-				t.Fatalf("seed %d: nondeterministic replay at core %d", seed, cores[i])
+	}
+}
+
+// randomProgram returns a deterministic per-lane op soup over every
+// issuing Proc op. Lane l only touches words [l*region, (l+1)*region)
+// past arena, so the phase is data-race free; strided bulk ops draw
+// strides from [-3, 3], zero included.
+func randomProgram(seed uint64, arena arch.Addr, region int) func(p *Proc) {
+	return func(p *Proc) {
+		s := seed*1000003 + uint64(p.Lane)*7919
+		next := func() uint64 { s = s*6364136223846793005 + 1442695040888963407; return s >> 33 }
+		lo := int(arena) + p.Lane*region
+		addr := func() arch.Addr { return arch.Addr(lo + int(next()%uint64(region))) }
+		// span picks n words at stride within the lane's region.
+		span := func() (arch.Addr, int, int) {
+			n := int(next()%8) + 1
+			stride := int(next()%7) - 3
+			first, last := 0, region-1
+			if d := (n - 1) * stride; d >= 0 {
+				last -= d
+			} else {
+				first -= d
+			}
+			return arch.Addr(lo + first + int(next()%uint64(last-first+1))), stride, n
+		}
+		var w, w2 W
+		var acc, acc2 A
+		var buf [8]W
+		var addrs [8]arch.Addr
+		for i := 0; i < 200; i++ {
+			switch next() % 36 {
+			case 0:
+				p.Tick(int(next()%4) + 1)
+			case 1:
+				w = p.Load(addr())
+			case 2:
+				p.Store(addr(), w)
+			case 3:
+				w = p.CAdd(w, w2)
+			case 4:
+				w = p.CMul(w, w2)
+			case 5:
+				acc = p.Mac(acc, w, w2)
+			case 6:
+				w = p.Narrow(acc, 4)
+			case 7:
+				w = p.SqrtRe(acc)
+			case 8:
+				base, stride, n := span()
+				p.LoadVec(base, stride, buf[:n])
+				w, w2 = buf[0], buf[n-1]
+			case 9:
+				base, stride, n := span()
+				for j := range buf[:n] {
+					buf[j] = w
+				}
+				buf[n-1] = w2
+				p.StoreVec(base, stride, buf[:n])
+			case 10:
+				n := int(next()%8) + 1
+				base := arch.Addr(lo + int(next()%uint64(region-n+1)))
+				p.LoadSpan(base, buf[:n])
+				w = buf[n/2]
+			case 11:
+				n := int(next()%8) + 1
+				base := arch.Addr(lo + int(next()%uint64(region-n+1)))
+				p.StoreSpan(base, buf[:n])
+			case 12:
+				n := int(next()%8) + 1
+				for j := range addrs[:n] {
+					addrs[j] = addr()
+				}
+				p.LoadGather(addrs[:n], buf[:n])
+				w2 = buf[0]
+			case 13:
+				n := int(next()%8) + 1
+				for j := range addrs[:n] {
+					addrs[j] = addr()
+				}
+				buf[0] = w
+				p.StoreScatter(addrs[:n], buf[:n])
+			case 14:
+				w, w2 = p.Load2(addr(), addr())
+			case 15:
+				w2 = p.AmoAdd(addr())
+			case 16:
+				w = p.MulTw(acc, w2, uint(next()%3))
+			case 17:
+				acc2 = p.Widen(w)
+			case 18:
+				acc = p.AccSub(acc, acc2)
+			case 19:
+				w = p.DivByRe(acc, w2)
+			case 20:
+				w2 = p.CDiv(w, w2)
+			case 21:
+				p.Drain()
+			case 22:
+				w = p.CSub(w, w2)
+			case 23:
+				w2 = p.CNeg(w)
+			case 24:
+				w = p.CConj(w2)
+			case 25:
+				w = p.CMulJ(w)
+			case 26:
+				w2 = p.CMulNegJ(w2)
+			case 27:
+				w = p.CHalf(w)
+			case 28:
+				w2 = p.CMulConj(w, w2)
+			case 29:
+				acc2 = p.MacConj(acc2, w, w2)
+			case 30:
+				acc = p.MacAbs2(acc, w2)
+			case 31:
+				acc2 = p.CAddW(w, w2)
+			case 32:
+				acc = p.CSubW(w2, w)
+			case 33:
+				acc = p.AccAdd(acc, acc2)
+			case 34:
+				acc2 = p.AccMulNegJ(acc)
+			case 35:
+				w2 = p.Imm(fixed.C15(next()))
 			}
 		}
 	}

@@ -131,12 +131,39 @@ func (p *Proc) Tick(n int) {
 	p.tax(int64(n))
 }
 
+// step issues one instruction: one cycle, one Instrs count and its share
+// of the fetch tax. It returns the issue cycle. Every issuing op but
+// Tick goes through it.
+func (p *Proc) step() int64 {
+	at := p.now
+	p.now++
+	p.st.Instrs++
+	p.tax(1)
+	return at
+}
+
+// aluAt issues a single-cycle ALU instruction and returns the cycle its
+// result is ready.
+func (p *Proc) aluAt() int64 {
+	p.st.IAlu++
+	return p.step() + 1
+}
+
+// mulAt issues a multiply-class instruction and returns the cycle its
+// result is ready.
+func (p *Proc) mulAt() int64 {
+	p.st.MACs++
+	return p.step() + p.m.Cfg.MulLatency
+}
+
 // lsuPush registers an outstanding access, stalling first if the LSU is
-// at capacity (waiting for the oldest outstanding access to retire).
+// at capacity (waiting for the oldest outstanding access to retire; the
+// new access then takes its ring slot). It is shaped to stay within the
+// Go inliner's budget, since issue runs it once per word.
 func (p *Proc) lsuPush(completion int64) {
+	i := p.lsuHead
 	if p.lsuLen == len(p.lsu) {
-		oldest := p.lsu[p.lsuHead]
-		if oldest > p.now {
+		if oldest := p.lsu[i]; oldest > p.now {
 			p.st.LsuStalls += oldest - p.now
 			p.now = oldest
 		}
@@ -144,21 +171,23 @@ func (p *Proc) lsuPush(completion int64) {
 		if p.lsuHead == len(p.lsu) {
 			p.lsuHead = 0
 		}
-		p.lsuLen--
-	}
-	i := p.lsuHead + p.lsuLen
-	if i >= len(p.lsu) {
-		i -= len(p.lsu)
+	} else {
+		i += p.lsuLen
+		p.lsuLen++
+		if i >= len(p.lsu) {
+			i -= len(p.lsu)
+		}
 	}
 	p.lsu[i] = completion
-	p.lsuLen++
 }
 
-// access books the bank slot for an address issued now and returns the
-// cycle at which the response arrives back at the core, using the
-// flattened map constants (same arithmetic as Config.BankOf/LevelFor,
-// without the per-field divisions).
-func (p *Proc) access(addr arch.Addr, issueAt int64) int64 {
+// issue is the one memory issue path: an instruction step, the bank
+// booking at the address's access level, and the LSU-ring push. It
+// returns the cycle at which the response arrives back at the core. The
+// level comes from the flattened map constants (same arithmetic as
+// Config.BankOf/LevelFor, without the per-field divisions).
+func (p *Proc) issue(addr arch.Addr) int64 {
+	at := p.step()
 	bank := p.bankOf(addr)
 	lvl := arch.LevelRemote
 	if bank >= p.tLo && bank < p.tHi {
@@ -166,20 +195,16 @@ func (p *Proc) access(addr arch.Addr, issueAt int64) int64 {
 	} else if bank >= p.gLo && bank < p.gHi {
 		lvl = arch.LevelGroup
 	}
-	slot := p.m.Mem.Res.Acquire(bank, issueAt+p.latReq[lvl])
-	return slot + 1 + p.latResp[lvl]
+	done := p.m.Mem.Res.Acquire(bank, at+p.latReq[lvl]) + 1 + p.latResp[lvl]
+	p.lsuPush(done)
+	return done
 }
 
 // Load issues a load from addr. The returned value is usable (without a
 // RAW stall) once its At cycle is reached; issue itself costs one cycle.
 func (p *Proc) Load(addr arch.Addr) W {
-	issueAt := p.now
-	p.now++
-	p.st.Instrs++
-	p.tax(1)
 	p.st.Loads++
-	done := p.access(addr, issueAt)
-	p.lsuPush(done)
+	done := p.issue(addr)
 	if p.m.DebugRaces {
 		p.m.raceCheckRead(p.Core, addr)
 	}
@@ -190,13 +215,8 @@ func (p *Proc) Load(addr arch.Addr) W {
 // core only stalls if the LSU ring is full.
 func (p *Proc) Store(addr arch.Addr, w W) {
 	p.waitW(w)
-	issueAt := p.now
-	p.now++
-	p.st.Instrs++
-	p.tax(1)
 	p.st.Stores++
-	done := p.access(addr, issueAt)
-	p.lsuPush(done)
+	p.issue(addr)
 	if p.m.DebugRaces {
 		p.m.raceCheckWrite(p.Core, addr)
 	}
@@ -206,13 +226,8 @@ func (p *Proc) Store(addr arch.Addr, w W) {
 // AmoAdd performs an atomic fetch-and-add of one on a memory word,
 // returning the previous value. Barriers use it on their counters.
 func (p *Proc) AmoAdd(addr arch.Addr) W {
-	issueAt := p.now
-	p.now++
-	p.st.Instrs++
-	p.tax(1)
 	p.st.Stores++
-	done := p.access(addr, issueAt)
-	p.lsuPush(done)
+	done := p.issue(addr)
 	old := p.m.Mem.Read(addr)
 	p.m.Mem.Write(addr, old+1)
 	return W{B: fixed.C15(old), At: done, Mem: true}
@@ -223,12 +238,7 @@ func (p *Proc) alu(v fixed.C15, ops ...W) W {
 	for _, w := range ops {
 		p.waitW(w)
 	}
-	issueAt := p.now
-	p.now++
-	p.st.Instrs++
-	p.tax(1)
-	p.st.IAlu++
-	return W{B: v, At: issueAt + 1}
+	return W{B: v, At: p.aluAt()}
 }
 
 // CAdd returns a+b (one packed-SIMD add).
@@ -257,13 +267,7 @@ func (p *Proc) mul(v fixed.C15, ops ...W) W {
 	for _, w := range ops {
 		p.waitW(w)
 	}
-	issueAt := p.now
-	p.now++
-	p.st.Instrs++
-	p.tax(1)
-	p.st.Mults++
-	p.st.MACs++
-	return W{B: v, At: issueAt + p.m.Cfg.MulLatency}
+	return W{B: v, At: p.mulAt()}
 }
 
 // CMul returns the rounded complex product a*b.
@@ -277,38 +281,20 @@ func (p *Proc) CMulConj(a, b W) W { return p.mul(fixed.MulConj(a.B, b.B), a, b) 
 func (p *Proc) Mac(acc A, a, b W) A {
 	p.waitW(a)
 	p.waitW(b)
-	issueAt := p.now
-	p.now++
-	p.st.Instrs++
-	p.tax(1)
-	p.st.Mults++
-	p.st.MACs++
-	return A{Acc: fixed.MacInto(acc.Acc, a.B, b.B), At: issueAt + p.m.Cfg.MulLatency}
+	return A{Acc: fixed.MacInto(acc.Acc, a.B, b.B), At: p.mulAt()}
 }
 
 // MacConj returns acc + a*conj(b).
 func (p *Proc) MacConj(acc A, a, b W) A {
 	p.waitW(a)
 	p.waitW(b)
-	issueAt := p.now
-	p.now++
-	p.st.Instrs++
-	p.tax(1)
-	p.st.Mults++
-	p.st.MACs++
-	return A{Acc: fixed.MacConjInto(acc.Acc, a.B, b.B), At: issueAt + p.m.Cfg.MulLatency}
+	return A{Acc: fixed.MacConjInto(acc.Acc, a.B, b.B), At: p.mulAt()}
 }
 
 // MacAbs2 returns acc + |a|^2 (accumulated into the real component).
 func (p *Proc) MacAbs2(acc A, a W) A {
 	p.waitW(a)
-	issueAt := p.now
-	p.now++
-	p.st.Instrs++
-	p.tax(1)
-	p.st.Mults++
-	p.st.MACs++
-	return A{Acc: fixed.MacAbs2Into(acc.Acc, a.B), At: issueAt + p.m.Cfg.MulLatency}
+	return A{Acc: fixed.MacAbs2Into(acc.Acc, a.B), At: p.mulAt()}
 }
 
 // CAddW returns a+b exactly, widened into an accumulator (one ALU op on
@@ -316,47 +302,27 @@ func (p *Proc) MacAbs2(acc A, a W) A {
 func (p *Proc) CAddW(a, b W) A {
 	p.waitW(a)
 	p.waitW(b)
-	issueAt := p.now
-	p.now++
-	p.st.Instrs++
-	p.tax(1)
-	p.st.IAlu++
-	return A{Acc: fixed.AddAcc(fixed.AccFromC15(a.B), fixed.AccFromC15(b.B)), At: issueAt + 1}
+	return A{Acc: fixed.AddAcc(fixed.AccFromC15(a.B), fixed.AccFromC15(b.B)), At: p.aluAt()}
 }
 
 // CSubW returns a-b exactly, widened into an accumulator.
 func (p *Proc) CSubW(a, b W) A {
 	p.waitW(a)
 	p.waitW(b)
-	issueAt := p.now
-	p.now++
-	p.st.Instrs++
-	p.tax(1)
-	p.st.IAlu++
-	return A{Acc: fixed.SubAcc(fixed.AccFromC15(a.B), fixed.AccFromC15(b.B)), At: issueAt + 1}
+	return A{Acc: fixed.SubAcc(fixed.AccFromC15(a.B), fixed.AccFromC15(b.B)), At: p.aluAt()}
 }
 
 // AccAdd returns a+b on accumulators (one ALU op).
 func (p *Proc) AccAdd(a, b A) A {
 	p.waitA(a)
 	p.waitA(b)
-	issueAt := p.now
-	p.now++
-	p.st.Instrs++
-	p.tax(1)
-	p.st.IAlu++
-	return A{Acc: fixed.AddAcc(a.Acc, b.Acc), At: issueAt + 1}
+	return A{Acc: fixed.AddAcc(a.Acc, b.Acc), At: p.aluAt()}
 }
 
 // AccMulNegJ returns a*(-j) exactly (a swap-negate on the accumulator).
 func (p *Proc) AccMulNegJ(a A) A {
 	p.waitA(a)
-	issueAt := p.now
-	p.now++
-	p.st.Instrs++
-	p.tax(1)
-	p.st.IAlu++
-	return A{Acc: fixed.MulNegJAcc(a.Acc), At: issueAt + 1}
+	return A{Acc: fixed.MulNegJAcc(a.Acc), At: p.aluAt()}
 }
 
 // MulTw multiplies a widened accumulator by a packed twiddle, scaling by
@@ -365,36 +331,20 @@ func (p *Proc) AccMulNegJ(a A) A {
 func (p *Proc) MulTw(a A, w W, shift uint) W {
 	p.waitA(a)
 	p.waitW(w)
-	issueAt := p.now
-	p.now++
-	p.st.Instrs++
-	p.tax(1)
-	p.st.Mults++
-	p.st.MACs++
-	return W{B: fixed.MulAccTw(a.Acc, w.B, shift), At: issueAt + p.m.Cfg.MulLatency}
+	return W{B: fixed.MulAccTw(a.Acc, w.B, shift), At: p.mulAt()}
 }
 
 // Widen converts a register sample to an accumulator (one ALU op).
 func (p *Proc) Widen(a W) A {
 	p.waitW(a)
-	issueAt := p.now
-	p.now++
-	p.st.Instrs++
-	p.tax(1)
-	p.st.IAlu++
-	return A{Acc: fixed.AccFromC15(a.B), At: issueAt + 1}
+	return A{Acc: fixed.AccFromC15(a.B), At: p.aluAt()}
 }
 
 // AccSub returns a-b on accumulators (one ALU op per component pair).
 func (p *Proc) AccSub(a, b A) A {
 	p.waitA(a)
 	p.waitA(b)
-	issueAt := p.now
-	p.now++
-	p.st.Instrs++
-	p.tax(1)
-	p.st.IAlu++
-	return A{Acc: fixed.SubAcc(a.Acc, b.Acc), At: issueAt + 1}
+	return A{Acc: fixed.SubAcc(a.Acc, b.Acc), At: p.aluAt()}
 }
 
 // Narrow rounds the accumulator back to a packed Q1.15 register value,
@@ -411,10 +361,7 @@ func (p *Proc) divIssue() (issueAt int64) {
 		p.st.ExtStalls += p.divFree - p.now
 		p.now = p.divFree
 	}
-	issueAt = p.now
-	p.now++
-	p.st.Instrs++
-	p.tax(1)
+	issueAt = p.step()
 	p.st.Divs++
 	p.divFree = issueAt + p.m.Cfg.DivSqrt.Init
 	return issueAt

@@ -33,7 +33,6 @@ type Stats struct {
 	IAlu   int64 // integer/address/branch instruction issues
 	Loads  int64 // load issues
 	Stores int64 // store and atomic issues
-	Mults  int64 // packed complex multiply/MAC issues
 	Divs   int64 // divide/sqrt unit issues
 	MACs   int64 // complex multiply-accumulate operations performed
 
@@ -50,7 +49,6 @@ func (s *Stats) Add(other Stats) {
 	s.IAlu += other.IAlu
 	s.Loads += other.Loads
 	s.Stores += other.Stores
-	s.Mults += other.Mults
 	s.Divs += other.Divs
 	s.MACs += other.MACs
 	s.RawStalls += other.RawStalls
@@ -67,7 +65,6 @@ func (s Stats) Sub(other Stats) Stats {
 		IAlu:         s.IAlu - other.IAlu,
 		Loads:        s.Loads - other.Loads,
 		Stores:       s.Stores - other.Stores,
-		Mults:        s.Mults - other.Mults,
 		Divs:         s.Divs - other.Divs,
 		MACs:         s.MACs - other.MACs,
 		RawStalls:    s.RawStalls - other.RawStalls,

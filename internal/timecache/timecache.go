@@ -52,6 +52,14 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
+// MaxCycles is the largest service time, in cycles, a loaded cache
+// record may claim: 2^40 cycles (about 18 minutes of simulated time at
+// 1 GHz) is far beyond any slot the engine measures.
+// The bound keeps replay arithmetic in range: arrivals are capped at
+// sched.MaxArrival = 2^62, which leaves 2^62 cycles of int64 headroom,
+// room for 2^22 back-to-back services of MaxCycles each in one lane.
+const MaxCycles int64 = 1 << 40
+
 // Entry is the JSONL wire form of one memoized coordinate.
 type Entry struct {
 	Key    string            `json:"key"`
@@ -179,12 +187,13 @@ func (c *Cache) WriteJSONL(w io.Writer) error {
 
 // ReadJSONL loads entries from a WriteJSONL stream into the cache.
 // added counts entries accepted; rejected counts structurally suspect
-// lines (empty key, recordless entry, or an analytic-stamped record,
-// which is a model prediction and has no business in a cache of
-// measurements) that were skipped — a poisoned or truncated-at-write
-// cache entry becomes a future miss, never a wrong timing. Malformed
-// JSON aborts with an error: that is file corruption, not a stale
-// schema, and silently continuing could mask a half-written file.
+// lines (empty key, recordless entry, a service time outside
+// [1, MaxCycles], or an analytic-stamped record, which is a model
+// prediction and has no business in a cache of measurements) that were
+// skipped — a poisoned or truncated-at-write cache entry becomes a
+// future miss, never a wrong timing. Malformed JSON aborts with an
+// error: that is file corruption, not a stale schema, and silently
+// continuing could mask a half-written file.
 func (c *Cache) ReadJSONL(r io.Reader) (added, rejected int, err error) {
 	dec := json.NewDecoder(r)
 	for {
@@ -195,7 +204,8 @@ func (c *Cache) ReadJSONL(r io.Reader) (added, rejected int, err error) {
 			}
 			return added, rejected, fmt.Errorf("timecache: load: %w", err)
 		}
-		if e.Key == "" || e.Record.Kind == "" || e.Record.Timing != "" {
+		if e.Key == "" || e.Record.Kind == "" || e.Record.Timing != "" ||
+			e.Record.TotalCycles <= 0 || e.Record.TotalCycles > MaxCycles {
 			rejected++
 			continue
 		}

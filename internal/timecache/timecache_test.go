@@ -2,6 +2,7 @@ package timecache
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -104,9 +105,9 @@ func TestPersistRoundTrip(t *testing.T) {
 
 func TestReadJSONLRejectsSuspectEntries(t *testing.T) {
 	in := strings.Join([]string{
-		`{"key":"","record":{"kind":"chain"}}`,   // empty key
-		`{"key":"k","record":{"kind":""}}`,       // recordless (no kind)
-		`{"key":"ok","record":{"kind":"chain"}}`, // good
+		`{"key":"","record":{"kind":"chain"}}`,              // empty key
+		`{"key":"k","record":{"kind":""}}`,                  // recordless (no kind)
+		`{"key":"ok","record":{"kind":"chain","cycles":1}}`, // good
 	}, "\n")
 	c := New(8)
 	added, rejected, err := c.ReadJSONL(strings.NewReader(in))
@@ -115,6 +116,43 @@ func TestReadJSONLRejectsSuspectEntries(t *testing.T) {
 	}
 	if _, ok := c.Lookup("ok"); !ok {
 		t.Fatal("valid entry was not loaded")
+	}
+}
+
+// TestReadJSONLBoundsCycles: a record whose service time is not a
+// positive count up to MaxCycles is rejected at load, so it becomes a
+// cache miss instead of a finish_cycle that overflows in the replay.
+func TestReadJSONLBoundsCycles(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		cycles int64
+		ok     bool
+	}{
+		{"negative", -5, false},
+		{"zero", 0, false},
+		{"huge", 9223372036854775000, false},
+		{"above bound", MaxCycles + 1, false},
+		{"at bound", MaxCycles, true},
+		{"normal", 28152, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			in := fmt.Sprintf(`{"key":"k","record":{"kind":"chain","cycles":%d}}`+"\n", tc.cycles)
+			c := New(8)
+			added, rejected, err := c.ReadJSONL(strings.NewReader(in))
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantAdded, wantRejected := 0, 1
+			if tc.ok {
+				wantAdded, wantRejected = 1, 0
+			}
+			if added != wantAdded || rejected != wantRejected {
+				t.Fatalf("added %d rejected %d, want %d and %d", added, rejected, wantAdded, wantRejected)
+			}
+			if _, hit := c.Lookup("k"); hit != tc.ok {
+				t.Fatalf("Lookup hit = %v, want %v", hit, tc.ok)
+			}
+		})
 	}
 }
 
