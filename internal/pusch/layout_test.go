@@ -154,6 +154,64 @@ func pipelinedGoldenConfig() ChainConfig {
 	return cfg
 }
 
+// TestGoldenPipelinedLayout pins the pipelined execution path the way
+// TestGoldenSequentialLayout pins the sequential one: the stock MemPool
+// split on the golden operating point, and the stock TeraPool split on
+// a full 14-symbol slot. Any drift here means a change moved the beat
+// schedule, the partition handshakes or the double-buffered plans.
+func TestGoldenPipelinedLayout(t *testing.T) {
+	teraPool := goldenChainConfig()
+	teraPool.Cluster = arch.TeraPool()
+	teraPool.Layout = StockPipelined(teraPool.Cluster)
+	teraPool.NSymb = 14
+	for _, tc := range []struct {
+		name          string
+		cfg           ChainConfig
+		cycles        int64
+		ber, evm, sig float64
+		walls         map[Stage]int64
+	}{
+		{
+			name:   "mempool",
+			cfg:    pipelinedGoldenConfig(),
+			cycles: 24170,
+			ber:    0.04296875, evm: -2.4819447120802938, sig: 6.389617919921875e-05,
+			walls: map[Stage]int64{
+				StageOFDM: 9520,
+				StageBF:   10533,
+				StageCHE:  7208,
+				StageNE:   1080,
+				StageMIMO: 15882,
+			},
+		},
+		{
+			name:   "terapool-14sym",
+			cfg:    teraPool,
+			cycles: 36053,
+			ber:    0.010294596354166666, evm: -6.093357657413081, sig: 6.4849853515625e-05,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := RunChain(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.TotalCycles != tc.cycles {
+				t.Errorf("cycles = %d, want golden %d", res.TotalCycles, tc.cycles)
+			}
+			if res.BER != tc.ber || res.EVMdB != tc.evm || res.SigmaEst != tc.sig {
+				t.Errorf("BER/EVM/sigma^2 = %v/%v/%v, want golden %v/%v/%v",
+					res.BER, res.EVMdB, res.SigmaEst, tc.ber, tc.evm, tc.sig)
+			}
+			for st, want := range tc.walls {
+				if got := res.Stages[st].Wall; got != want {
+					t.Errorf("stage %s wall = %d, want golden %d", st, got, want)
+				}
+			}
+		})
+	}
+}
+
 // TestPipelinedDeterministicAcrossMachines runs the pipelined chain on
 // a fresh machine, a caller-supplied machine and a Reset reused one,
 // requiring identical cycles, metrics and stage walls: the property the
