@@ -89,14 +89,16 @@ const rowsPerButterflySet = 4
 // be a multiple of batch). Lane sets use consecutive cores starting at
 // core 0.
 func NewPlan(m *engine.Machine, n, count, batch int, lay Layout) (*Plan, error) {
-	return NewPlanOn(m, nil, n, count, batch, lay)
+	cores := make([]int, m.Cfg.NumCores())
+	for i := range cores {
+		cores[i] = i
+	}
+	return NewPlanOn(m, cores, n, count, batch, lay)
 }
 
 // NewPlanOn is NewPlan on an explicit core set: lane sets are carved
 // from cores in order (cores[0..lanes) is job 0, and so on), so a chain
-// layout can pin the FFT stage to its own partition of the cluster. A
-// nil core set uses consecutive cores starting at core 0 — the whole
-// cluster, exactly like NewPlan.
+// layout can pin the FFT stage to its own partition of the cluster.
 func NewPlanOn(m *engine.Machine, cores []int, n, count, batch int, lay Layout) (*Plan, error) {
 	s := stages(n)
 	if s < 2 {
@@ -108,14 +110,8 @@ func NewPlanOn(m *engine.Machine, cores []int, n, count, batch int, lay Layout) 
 	cfg := m.Cfg
 	lanes := n / 16
 	jobs := count / batch
-	capacity := cfg.NumCores()
-	pool := "cluster"
-	if cores != nil {
-		capacity = len(cores)
-		pool = "partition"
-	}
-	if jobs*lanes > capacity {
-		return nil, fmt.Errorf("fft: %d FFTs of %d points need %d cores, %s has %d", count, n, jobs*lanes, pool, capacity)
+	if jobs*lanes > len(cores) {
+		return nil, fmt.Errorf("fft: %d FFTs of %d points need %d cores, core set has %d", count, n, jobs*lanes, len(cores))
 	}
 	pl := &Plan{
 		N: n, S: s, Lanes: lanes, Jobs: jobs, Batch: batch, Lay: lay,
@@ -144,15 +140,7 @@ func NewPlanOn(m *engine.Machine, cores []int, n, count, batch int, lay Layout) 
 	pl.jobCores = make([][]int, jobs)
 	pl.jobTileIdx = make([][]int, jobs)
 	for j := range pl.jobCores {
-		set := make([]int, lanes)
-		for l := range set {
-			if cores == nil {
-				set[l] = j*lanes + l
-			} else {
-				set[l] = cores[j*lanes+l]
-			}
-		}
-		pl.jobCores[j] = set
+		pl.jobCores[j] = append([]int(nil), cores[j*lanes:(j+1)*lanes]...)
 	}
 	for j := range pl.jobTileIdx {
 		idx := make([]int, cfg.NumTiles())

@@ -182,12 +182,6 @@ func (c *ChainConfig) validate() error {
 	return c.Layout.validate(c.Cluster, c.NSC)
 }
 
-// fftBatch chooses how many FFTs share a lane set so all NR transforms
-// fit on the cluster.
-func (c *ChainConfig) fftBatch() (batch int, err error) {
-	return c.fftBatchOn(c.Cluster.NumCores())
-}
-
 // fftBatchOn chooses how many FFTs share a lane set so all NR
 // transforms fit on a partition of the given size.
 func (c *ChainConfig) fftBatchOn(cores int) (batch int, err error) {
@@ -353,8 +347,7 @@ type combinePlan struct {
 	gain    uint // noise-floor AGC: sigma word holds sigma^2 * 2^gain
 }
 
-// newCombinePlan lays the combine job out on an explicit core set (nil
-// means every core of the cluster, the sequential layout's choice).
+// newCombinePlan lays the combine job out on an explicit core set.
 func newCombinePlan(m *engine.Machine, h1, h2 *chest.Plan, coreSet []int) (*combinePlan, error) {
 	if h1.NSC != h2.NSC || h1.NB != h2.NB {
 		return nil, fmt.Errorf("pusch: mismatched chest plans")
@@ -365,23 +358,13 @@ func newCombinePlan(m *engine.Machine, h1, h2 *chest.Plan, coreSet []int) (*comb
 		return nil, fmt.Errorf("pusch: combine hAvg: %w", err)
 	}
 	cores := len(coreSet)
-	if coreSet == nil {
-		cores = m.Cfg.NumCores()
-	}
 	if c.parts, err = m.Mem.AllocSeq(cores); err != nil {
 		return nil, fmt.Errorf("pusch: combine partials: %w", err)
 	}
 	if c.sigma, err = m.Mem.AllocSeq(1); err != nil {
 		return nil, fmt.Errorf("pusch: combine sigma: %w", err)
 	}
-	if coreSet == nil {
-		c.cores = make([]int, cores)
-		for i := range c.cores {
-			c.cores[i] = i
-		}
-	} else {
-		c.cores = append([]int(nil), coreSet...)
-	}
+	c.cores = append([]int(nil), coreSet...)
 	perLane := (c.nsc + cores - 1) / cores * c.nb
 	for 1<<c.shift < perLane {
 		c.shift++
@@ -461,6 +444,3 @@ func (c *combinePlan) Job() engine.Job {
 		},
 	}
 }
-
-// Run executes the combine job.
-func (c *combinePlan) Run() error { return c.m.Run(c.Job()) }

@@ -70,24 +70,6 @@ func (l Layout) Pipelined() bool {
 		len(l.NE) > 0 || len(l.MIMO) > 0
 }
 
-// Part returns the stage's partition (nil for every stage of the
-// sequential layout, meaning "all cores").
-func (l Layout) Part(st Stage) CoreSet {
-	switch st {
-	case StageOFDM:
-		return l.FFT
-	case StageBF:
-		return l.BF
-	case StageCHE:
-		return l.CHE
-	case StageNE:
-		return l.NE
-	case StageMIMO:
-		return l.MIMO
-	}
-	return nil
-}
-
 // PipelinedSplit builds the canonical three-way pipelined layout on a
 // cluster: the first f cores demodulate (FFT), the next b beamform, and
 // the next d form the detection partition shared by channel estimation,

@@ -2,6 +2,7 @@ package pusch
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/fixed"
@@ -19,48 +20,49 @@ import (
 // metrics); RunChainOn composes them, and the campaign runner drives a
 // Pipeline per scenario on a pooled, Reset machine.
 //
-// Execution follows the configured Layout. The sequential layout (the
-// zero value) sizes every kernel to the whole cluster and runs the
-// stages back to back, one OFDM symbol at a time, with a cluster-wide
-// barrier between stages — the original chain. A pipelined layout
-// instead gives each stage its own core partition and overlaps
-// consecutive symbols: per beat, Machine.Run receives the FFT of symbol
-// k, the beamforming of symbol k-1 and the detection of symbol k-2 as
-// concurrent jobs on disjoint core sets. The inter-stage buffers (FFT
-// output and beamformed grid) are double-buffered by symbol parity, and
-// partitions hand results downstream through NotBefore timestamps — the
-// per-partition handshake replacing the cluster-wide barrier.
+// One beat executor runs both layouts. A pipelined layout gives each
+// stage its own core partition and overlaps consecutive symbols: per
+// beat, Machine.Run receives the FFT of symbol k, the beamforming of
+// symbol k-1 and the detection of symbol k-2 as concurrent jobs on
+// disjoint core sets. The inter-stage buffers (FFT output and beamformed
+// grid) are double-buffered by symbol parity, and partitions hand
+// results downstream through NotBefore timestamps — the per-partition
+// handshake replacing the cluster-wide barrier. The sequential layout
+// (the zero value) is the degenerate case: every partition is the whole
+// cluster, there is one buffer set, and each stage task runs as its own
+// beat closed by a cluster-wide barrier, behind which the handshakes
+// are no-ops — the original chain.
 type Pipeline struct {
 	cfg   ChainConfig
 	m     *engine.Machine
 	batch int
 
-	// Sequential layout: one plan per stage spanning the whole cluster.
-	fftPlan  *fft.Plan
-	bfPlan   *mmm.Plan
-	mimoPlan *mimo.Plan
+	// nbuf is the number of inter-stage buffer sets: 1 for the
+	// sequential layout, 2 for a pipelined one. Symbol s uses set s%nbuf.
+	nbuf int
+	// part holds each stage's core partition; the sequential layout
+	// gives every stage the whole cluster.
+	part Layout
 
-	// Pipelined layout: double-buffered plans, parity = symbol index & 1.
-	fftPlans  [2]*fft.Plan
-	bfPlans   [2]*mmm.Plan
-	mimoPlans [2]*mimo.Plan
-
-	// chestPlans is shared by both layouts: one plan per pilot symbol
-	// (the pipelined layout binds plan i to beam-grid parity i&1).
+	fftPlans  []*fft.Plan
+	bfPlans   []*mmm.Plan
+	mimoPlans []*mimo.Plan
+	// chestPlans holds one plan per pilot symbol; plan i reads beam grid
+	// i%nbuf.
 	chestPlans []*chest.Plan
 	comb       *combinePlan
 
-	// Software-pipeline state: per-symbol finish times of each
-	// partition's task, driving the NotBefore handshakes.
+	// Beat state: per-symbol finish times of each partition's task,
+	// driving the NotBefore handshakes.
 	finFFT  []int64
 	finBF   []int64
 	finDet  []int64
 	finNE   int64
-	issued  int // symbols fed into the pipe so far
+	issued  int // symbols fed in so far
 	drained bool
 
-	// live is the sorted union of every pipelined plan's job cores: the
-	// only cores whose clocks advance during the slot.
+	// live is the sorted union of every plan's job cores: the only
+	// cores whose clocks advance during a pipelined slot.
 	live []int
 
 	start    int64
@@ -81,13 +83,7 @@ func NewPipeline(m *engine.Machine, cfg ChainConfig) (*Pipeline, error) {
 		return nil, fmt.Errorf("pusch: pipeline machine is a %s, config wants %s", m.Cfg.Name, cfg.Cluster.Name)
 	}
 	pl := &Pipeline{cfg: cfg, m: m, stages: make(map[Stage]engine.Report)}
-	var err error
-	if cfg.Layout.Pipelined() {
-		err = pl.planPipelined()
-	} else {
-		err = pl.planSequential()
-	}
-	if err != nil {
+	if err := pl.plan(); err != nil {
 		return nil, err
 	}
 	pl.start = m.Cycles()
@@ -117,80 +113,39 @@ func chainPilotWords(cfg *ChainConfig) []fixed.C15 {
 	return pq
 }
 
-// planSequential lays out the original single-symbol chain: every plan
-// sized to the whole cluster, stages chained through shared buffers.
-// The construction (and therefore the TCDM allocation sequence) is
-// bit-identical to the pre-layout pipeline.
-func (pl *Pipeline) planSequential() error {
+// plan lays out the chain's kernel plans on the stage partitions, with
+// the two inter-stage regions (FFT output, beamformed grid) held in nbuf
+// buffer sets so that, when pipelined, symbol k's detection reads one
+// set while symbol k+1's producers fill the other. With one buffer set
+// the TCDM allocation sequence is the original sequential chain's:
+// FFT, beamforming and its coefficients, both channel estimates, the
+// combine, MIMO detection.
+func (pl *Pipeline) plan() error {
 	m, cfg := pl.m, &pl.cfg
-	batch, err := cfg.fftBatch()
-	if err != nil {
-		return err
+	pl.nbuf, pl.part = 1, cfg.Layout
+	if cfg.Layout.Pipelined() {
+		pl.nbuf = 2
+	} else {
+		all := coreRange(0, m.Cfg.NumCores())
+		pl.part = Layout{FFT: all, BF: all, CHE: all, NE: all, MIMO: all}
 	}
-	pl.batch = batch
-	if pl.fftPlan, err = fft.NewPlan(m, cfg.NSC, cfg.NR, batch, fft.Folded); err != nil {
-		return err
-	}
-	fftOut := pl.fftPlan.OutBase(0)
-	pl.bfPlan, err = mmm.NewPlan(m, cfg.NSC, cfg.NR, cfg.NB, m.Cfg.NumCores(), mmm.Options{
-		AExternal:   &fftOut,
-		ATransposed: true,
-		ZeroShift:   true,
-	})
-	if err != nil {
-		return err
-	}
-	// Beamforming coefficients: unitary DFT beams, quantized.
-	if err := pl.bfPlan.WriteB(chainBeamWords(cfg)); err != nil {
-		return err
-	}
-	beamBase := pl.bfPlan.CBase()
-
-	pq := chainPilotWords(cfg)
-	pl.chestPlans = make([]*chest.Plan, cfg.NPilot)
-	for i := range pl.chestPlans {
-		p, err := chest.NewPlan(m, cfg.NSC, cfg.NB, cfg.NL, m.Cfg.NumCores(), &beamBase)
-		if err != nil {
-			return err
-		}
-		if err := p.WritePilots(pq); err != nil {
-			return err
-		}
-		pl.chestPlans[i] = p
-	}
-	if pl.comb, err = newCombinePlan(m, pl.chestPlans[0], pl.chestPlans[1], nil); err != nil {
-		return err
-	}
-	pl.mimoPlan, err = mimo.NewPlan(m, cfg.NSC, cfg.NB, cfg.NL, m.Cfg.NumCores(),
-		pl.comb.HAddr, pl.comb.SigmaAddr(), &beamBase)
-	if err != nil {
-		return err
-	}
-	pl.mimoPlan.Interp = cfg.InterpolateChannel
-	return nil
-}
-
-// planPipelined lays out the spatially pipelined chain: per-partition
-// kernel plans with the two inter-stage regions (FFT output, beamformed
-// grid) double-buffered by symbol parity, so symbol k's detection reads
-// one buffer set while symbol k+1's producers fill the other.
-func (pl *Pipeline) planPipelined() error {
-	m, cfg := pl.m, &pl.cfg
-	lay := &cfg.Layout
+	lay := &pl.part
 	batch, err := cfg.fftBatchOn(len(lay.FFT))
 	if err != nil {
 		return err
 	}
 	pl.batch = batch
-	for p := range pl.fftPlans {
-		if pl.fftPlans[p], err = fft.NewPlanOn(m, lay.FFT, cfg.NSC, cfg.NR, batch, fft.Folded); err != nil {
+	pl.fftPlans = make([]*fft.Plan, pl.nbuf)
+	for b := range pl.fftPlans {
+		if pl.fftPlans[b], err = fft.NewPlanOn(m, lay.FFT, cfg.NSC, cfg.NR, batch, fft.Folded); err != nil {
 			return err
 		}
 	}
 	bq := chainBeamWords(cfg)
-	for p := range pl.bfPlans {
-		out := pl.fftPlans[p].OutBase(0)
-		pl.bfPlans[p], err = mmm.NewPlanOn(m, lay.BF, cfg.NSC, cfg.NR, cfg.NB, mmm.Options{
+	pl.bfPlans = make([]*mmm.Plan, pl.nbuf)
+	for b := range pl.bfPlans {
+		out := pl.fftPlans[b].OutBase(0)
+		pl.bfPlans[b], err = mmm.NewPlanOn(m, lay.BF, cfg.NSC, cfg.NR, cfg.NB, mmm.Options{
 			AExternal:   &out,
 			ATransposed: true,
 			ZeroShift:   true,
@@ -198,14 +153,14 @@ func (pl *Pipeline) planPipelined() error {
 		if err != nil {
 			return err
 		}
-		if err := pl.bfPlans[p].WriteB(bq); err != nil {
+		if err := pl.bfPlans[b].WriteB(bq); err != nil {
 			return err
 		}
 	}
 	pq := chainPilotWords(cfg)
 	pl.chestPlans = make([]*chest.Plan, cfg.NPilot)
 	for i := range pl.chestPlans {
-		beam := pl.bfPlans[i&1].CBase()
+		beam := pl.bfPlans[i%pl.nbuf].CBase()
 		p, err := chest.NewPlanOn(m, lay.CHE, cfg.NSC, cfg.NB, cfg.NL, &beam)
 		if err != nil {
 			return err
@@ -218,14 +173,15 @@ func (pl *Pipeline) planPipelined() error {
 	if pl.comb, err = newCombinePlan(m, pl.chestPlans[0], pl.chestPlans[1], lay.NE); err != nil {
 		return err
 	}
-	for p := range pl.mimoPlans {
-		beam := pl.bfPlans[p].CBase()
-		pl.mimoPlans[p], err = mimo.NewPlanOn(m, lay.MIMO, cfg.NSC, cfg.NB, cfg.NL,
+	pl.mimoPlans = make([]*mimo.Plan, pl.nbuf)
+	for b := range pl.mimoPlans {
+		beam := pl.bfPlans[b].CBase()
+		pl.mimoPlans[b], err = mimo.NewPlanOn(m, lay.MIMO, cfg.NSC, cfg.NB, cfg.NL,
 			pl.comb.HAddr, pl.comb.SigmaAddr(), &beam)
 		if err != nil {
 			return err
 		}
-		pl.mimoPlans[p].Interp = cfg.InterpolateChannel
+		pl.mimoPlans[b].Interp = cfg.InterpolateChannel
 	}
 	pl.finFFT = make([]int64, cfg.NSymb)
 	pl.finBF = make([]int64, cfg.NSymb)
@@ -234,16 +190,16 @@ func (pl *Pipeline) planPipelined() error {
 	return nil
 }
 
-// liveCores returns the sorted union of the pipelined plans' job cores.
-// Partition cores no plan enrolls (an FFT partition wider than the
-// transforms' lane sets) never leave cycle 0, so they must not hold
-// back reservation retirement.
+// liveCores returns the sorted union of the plans' job cores. Partition
+// cores no plan enrolls (an FFT partition wider than the transforms'
+// lane sets) never leave cycle 0, so they must not hold back
+// reservation retirement.
 func (pl *Pipeline) liveCores() []int {
 	jobs := []engine.Job{pl.comb.Job()}
-	for p := range pl.fftPlans {
-		jobs = append(jobs, pl.fftPlans[p].JobsList()...)
-		jobs = append(jobs, pl.bfPlans[p].Job())
-		jobs = append(jobs, pl.mimoPlans[p].JobsList()...)
+	for b := range pl.fftPlans {
+		jobs = append(jobs, pl.fftPlans[b].JobsList()...)
+		jobs = append(jobs, pl.bfPlans[b].Job())
+		jobs = append(jobs, pl.mimoPlans[b].JobsList()...)
 	}
 	for _, cp := range pl.chestPlans {
 		jobs = append(jobs, cp.JobsList()...)
@@ -263,19 +219,14 @@ func (pl *Pipeline) liveCores() []int {
 	return live
 }
 
-// accumulate folds one measured window into the per-stage aggregate.
-func (pl *Pipeline) accumulate(stage Stage, mark engine.Mark, name string, sym int) {
-	pl.accumulateOn(stage, mark, name, nil, sym)
-}
-
-// accumulateOn folds one measured window over an explicit core set (the
-// stage's partition; nil means the whole cluster) into the per-stage
-// aggregate. Under a pipelined layout the window includes the
-// partition's NotBefore wait, so a stage's Wall reads as partition
-// occupancy and the per-stage walls of one slot overlap in time. When a
-// trace is attached, the same window becomes one stage-level span named
-// "<name> s<sym>" on the partition's track.
-func (pl *Pipeline) accumulateOn(stage Stage, mark engine.Mark, name string, cores []int, sym int) {
+// accumulate folds one measured window over a stage's core set into the
+// per-stage aggregate and returns the set's finish time. Under a
+// pipelined layout the window includes the partition's NotBefore wait,
+// so a stage's Wall reads as partition occupancy and the per-stage
+// walls of one slot overlap in time. When a trace is attached, the same
+// window becomes one stage-level span named "<name> s<sym>" on the
+// partition's track.
+func (pl *Pipeline) accumulate(stage Stage, mark engine.Mark, name string, cores []int, sym int) int64 {
 	rep := pl.m.ReportSince(mark, name, cores)
 	agg := pl.stages[stage]
 	agg.Name = string(stage)
@@ -285,116 +236,39 @@ func (pl *Pipeline) accumulateOn(stage Stage, mark engine.Mark, name string, cor
 	pl.stages[stage] = agg
 	if pl.trace != nil {
 		start, end := pl.m.WindowSince(mark, cores)
-		pl.trace.Add(pl.trackFor(cores), fmt.Sprintf("%s s%d", name, sym), start, end)
+		pl.trace.Add(trackFor(cores), fmt.Sprintf("%s s%d", name, sym), start, end)
 	}
+	return pl.m.MaxTime(cores)
 }
 
-// trackFor names the trace track of a stage's core partition (nil means
-// the whole cluster).
-func (pl *Pipeline) trackFor(cores []int) string {
-	if cores == nil {
-		return obs.CoreTrack(0, pl.m.Cfg.NumCores()-1)
-	}
-	lo, hi := cores[0], cores[0]
-	for _, c := range cores[1:] {
-		if c < lo {
-			lo = c
-		}
-		if c > hi {
-			hi = c
-		}
-	}
-	return obs.CoreTrack(lo, hi)
+// trackFor names the trace track of a stage's core partition.
+func trackFor(cores []int) string {
+	return obs.CoreTrack(slices.Min(cores), slices.Max(cores))
 }
 
 // RunSymbol processes OFDM symbol s from its per-antenna time-domain
-// samples: FFT and beamforming on every symbol, then channel estimation
-// (plus the noise-estimate combine after the last pilot) on pilot
-// symbols or MIMO detection on data symbols. Symbols must be run in
-// order 0..NSymb-1. Under a pipelined layout the call feeds the symbol
+// samples: FFT and beamforming on every symbol,
+// then channel estimation (plus the noise-estimate combine after the
+// last pilot) on pilot symbols or MIMO detection on data symbols.
+// Symbols must be run in order 0..NSymb-1. The sequential layout runs
+// the symbol's stages back to back; a pipelined layout feeds the symbol
 // into the software pipeline (stages of up to three symbols execute
-// concurrently on their partitions); call Drain after the last symbol
+// concurrently on their partitions). Call Drain after the last symbol
 // to flush the pipe before reading Detected.
 func (pl *Pipeline) RunSymbol(s int, rx [][]complex128) error {
-	if pl.cfg.Layout.Pipelined() {
-		return pl.runSymbolPipelined(s, rx)
-	}
-	return pl.runSymbolSequential(s, rx)
-}
-
-// runSymbolSequential is the original serial schedule: every stage on
-// all cores, a cluster-wide barrier after each.
-func (pl *Pipeline) runSymbolSequential(s int, rx [][]complex128) error {
 	cfg := &pl.cfg
-	for a := 0; a < cfg.NR; a++ {
-		q := make([]fixed.C15, cfg.NSC)
-		for i, v := range rx[a] {
-			q[i] = fixed.FromComplex(v)
-		}
-		if err := pl.fftPlan.WriteInput(a/pl.batch, a%pl.batch, q); err != nil {
-			return err
-		}
-	}
-	mark := pl.m.Mark()
-	if err := pl.fftPlan.Run(); err != nil {
-		return err
-	}
-	pl.m.ClusterBarrier()
-	pl.accumulate(StageOFDM, mark, "fft", s)
-
-	mark = pl.m.Mark()
-	if err := pl.bfPlan.Run(); err != nil {
-		return err
-	}
-	pl.m.ClusterBarrier()
-	pl.accumulate(StageBF, mark, "bf", s)
-
 	switch {
-	case s < cfg.NPilot:
-		mark = pl.m.Mark()
-		if err := pl.chestPlans[s].Run(); err != nil {
-			return err
-		}
-		pl.m.ClusterBarrier()
-		pl.accumulate(StageCHE, mark, "chest", s)
-		if s == cfg.NPilot-1 {
-			mark = pl.m.Mark()
-			if err := pl.comb.Run(); err != nil {
-				return err
-			}
-			pl.m.ClusterBarrier()
-			pl.accumulate(StageNE, mark, "combine", s)
-		}
-	default:
-		mark = pl.m.Mark()
-		if err := pl.mimoPlan.Run(); err != nil {
-			return err
-		}
-		pl.m.ClusterBarrier()
-		pl.accumulate(StageMIMO, mark, "mimo", s)
-		pl.detected = append(pl.detected, pl.mimoPlan.ReadX()...)
-	}
-	return nil
-}
-
-// runSymbolPipelined feeds symbol s into the software pipeline: the
-// symbol's samples are staged into the parity FFT buffers, then one
-// pipeline beat issues FFT(s), BF(s-1) and detection(s-2) concurrently.
-func (pl *Pipeline) runSymbolPipelined(s int, rx [][]complex128) error {
-	cfg := &pl.cfg
-	if s != pl.issued {
-		return fmt.Errorf("pusch: pipelined RunSymbol(%d) out of order, want %d", s, pl.issued)
-	}
-	if s >= cfg.NSymb {
+	case pl.drained:
+		return fmt.Errorf("pusch: RunSymbol(%d) after Drain", s)
+	case s != pl.issued:
+		return fmt.Errorf("pusch: RunSymbol(%d) out of order, want %d", s, pl.issued)
+	case s >= cfg.NSymb:
 		return fmt.Errorf("pusch: RunSymbol(%d) beyond the slot's %d symbols", s, cfg.NSymb)
 	}
-	if pl.drained {
-		return fmt.Errorf("pusch: RunSymbol(%d) after Drain", s)
-	}
-	plan := pl.fftPlans[s&1]
-	for a := 0; a < cfg.NR; a++ {
+	plan := pl.fftPlans[s%pl.nbuf]
+	for a, samples := range rx {
 		q := make([]fixed.C15, cfg.NSC)
-		for i, v := range rx[a] {
+		for i, v := range samples {
 			q[i] = fixed.FromComplex(v)
 		}
 		if err := plan.WriteInput(a/pl.batch, a%pl.batch, q); err != nil {
@@ -402,80 +276,76 @@ func (pl *Pipeline) runSymbolPipelined(s int, rx [][]complex128) error {
 		}
 	}
 	pl.issued = s + 1
-	return pl.issueBeat(s)
+	if pl.nbuf > 1 {
+		return pl.beat(s, s-1, s-2)
+	}
+	if err := pl.beat(s, -1, -1); err != nil {
+		return err
+	}
+	if err := pl.beat(-1, s, -1); err != nil {
+		return err
+	}
+	return pl.beat(-1, -1, s)
 }
 
-// Drain flushes the software pipeline: after the last RunSymbol, the
-// beamforming of the final symbol and the detection of the final two
-// are still in flight. Sequential layouts have nothing in flight and
-// return immediately. Drain is idempotent; RunChainOn calls it before
-// scoring.
+// Drain flushes the software pipeline: after the last RunSymbol of a
+// pipelined layout, the beamforming of the final symbol and the
+// detection of the final two are still in flight. The sequential layout
+// has nothing in flight. Drain is idempotent, and no symbol may follow
+// it; RunChainOn calls it before scoring.
 func (pl *Pipeline) Drain() error {
-	if !pl.cfg.Layout.Pipelined() || pl.drained {
+	if pl.drained {
 		return nil
 	}
-	last := pl.issued
 	pl.drained = true
-	for beat := last; beat < last+2; beat++ {
-		if err := pl.issueBeat(beat); err != nil {
+	if pl.nbuf == 1 {
+		return nil
+	}
+	for b := pl.issued; b < pl.issued+2; b++ {
+		if err := pl.beat(b, b-1, b-2); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// issueBeat runs one pipeline beat: the up-to-three stage tasks whose
-// symbols are in flight, handed to Machine.Run as concurrent jobs on
-// disjoint partitions. Cross-partition data dependencies (and the WAR
-// hazards on the double-buffered regions) are enforced through each
-// job's NotBefore: a consumer partition starts no earlier than its
-// producer finished, and a producer reclaims a parity buffer no earlier
-// than the previous consumer released it.
-func (pl *Pipeline) issueBeat(beat int) error {
-	cfg := &pl.cfg
-	lay := &cfg.Layout
-	sFFT, sBF, sDet := beat, beat-1, beat-2
-	doFFT := sFFT >= 0 && sFFT < pl.issued
-	doBF := sBF >= 0 && sBF < pl.issued
-	doDet := sDet >= 0 && sDet < pl.issued
+// beat runs the FFT of symbol sFFT, the beamforming of sBF and the
+// detection of sDet — whichever of them are in flight (fed in and not
+// negative) — handed to Machine.Run as concurrent jobs on their
+// partitions. Cross-partition data dependencies (and the WAR hazards on
+// the buffer sets) are enforced through each job's NotBefore: a
+// consumer partition starts no earlier than its producer finished, and
+// a producer reclaims a buffer set no earlier than the previous
+// consumer released it.
+func (pl *Pipeline) beat(sFFT, sBF, sDet int) error {
+	cfg, lay := &pl.cfg, &pl.part
+	inFlight := func(s int) bool { return s >= 0 && s < pl.issued }
+	doFFT, doBF, doDet := inFlight(sFFT), inFlight(sBF), inFlight(sDet)
 
 	var jobs []engine.Job
 	if doFFT {
 		var notBefore int64
-		if sFFT >= 2 {
-			// WAR: FFT(s) overwrites the parity output BF(s-2) read.
-			notBefore = pl.finBF[sFFT-2]
+		if sFFT >= pl.nbuf {
+			// WAR: FFT(s) overwrites the output BF(s-nbuf) read.
+			notBefore = pl.finBF[sFFT-pl.nbuf]
 		}
-		for _, j := range pl.fftPlans[sFFT&1].JobsList() {
-			j.NotBefore = notBefore
-			jobs = append(jobs, j)
-		}
+		jobs = gated(jobs, notBefore, pl.fftPlans[sFFT%pl.nbuf].JobsList()...)
 	}
 	if doBF {
 		notBefore := pl.finFFT[sBF] // RAW: the FFT output of the same symbol
-		if sBF >= 2 && pl.finDet[sBF-2] > notBefore {
-			// WAR: BF(s) overwrites the parity grid detection(s-2) read.
-			notBefore = pl.finDet[sBF-2]
+		if sBF >= pl.nbuf {
+			// WAR: BF(s) overwrites the grid detection(s-nbuf) read.
+			notBefore = max(notBefore, pl.finDet[sBF-pl.nbuf])
 		}
-		j := pl.bfPlans[sBF&1].Job()
-		j.NotBefore = notBefore
-		jobs = append(jobs, j)
+		jobs = gated(jobs, notBefore, pl.bfPlans[sBF%pl.nbuf].Job())
 	}
 	if doDet {
 		notBefore := pl.finBF[sDet] // RAW: the beamformed grid of the same symbol
 		if sDet < cfg.NPilot {
-			for _, j := range pl.chestPlans[sDet].JobsList() {
-				j.NotBefore = notBefore
-				jobs = append(jobs, j)
-			}
+			jobs = gated(jobs, notBefore, pl.chestPlans[sDet].JobsList()...)
 		} else {
-			if pl.finNE > notBefore {
-				notBefore = pl.finNE // RAW: averaged channel + sigma
-			}
-			for _, j := range pl.mimoPlans[sDet&1].JobsList() {
-				j.NotBefore = notBefore
-				jobs = append(jobs, j)
-			}
+			// RAW: the averaged channel and sigma.
+			jobs = gated(jobs, max(notBefore, pl.finNE), pl.mimoPlans[sDet%pl.nbuf].JobsList()...)
 		}
 	}
 	if len(jobs) == 0 {
@@ -485,44 +355,59 @@ func (pl *Pipeline) issueBeat(beat int) error {
 	if err := pl.m.Run(jobs...); err != nil {
 		return err
 	}
-	// No cluster-wide barrier ever runs in a pipelined slot, so retire
-	// the bank-reservation pages every enrolled core has moved past
-	// here, once per beat, to bound simulator memory.
-	pl.m.TrimReservations(pl.live)
+	pl.sync()
 	if doFFT {
-		pl.finFFT[sFFT] = pl.m.MaxTime(lay.FFT)
-		pl.accumulateOn(StageOFDM, mark, "fft", lay.FFT, sFFT)
+		pl.finFFT[sFFT] = pl.accumulate(StageOFDM, mark, "fft", lay.FFT, sFFT)
 	}
 	if doBF {
-		pl.finBF[sBF] = pl.m.MaxTime(lay.BF)
-		pl.accumulateOn(StageBF, mark, "bf", lay.BF, sBF)
+		pl.finBF[sBF] = pl.accumulate(StageBF, mark, "bf", lay.BF, sBF)
 	}
-	if !doDet {
+	switch {
+	case !doDet:
+		return nil
+	case sDet >= cfg.NPilot:
+		pl.finDet[sDet] = pl.accumulate(StageMIMO, mark, "mimo", lay.MIMO, sDet)
+		pl.detected = append(pl.detected, pl.mimoPlans[sDet%pl.nbuf].ReadX()...)
 		return nil
 	}
-	if sDet >= cfg.NPilot {
-		pl.finDet[sDet] = pl.m.MaxTime(lay.MIMO)
-		pl.accumulateOn(StageMIMO, mark, "mimo", lay.MIMO, sDet)
-		pl.detected = append(pl.detected, pl.mimoPlans[sDet&1].ReadX()...)
+	pl.finDet[sDet] = pl.accumulate(StageCHE, mark, "chest", lay.CHE, sDet)
+	if sDet < cfg.NPilot-1 {
 		return nil
 	}
-	pl.finDet[sDet] = pl.m.MaxTime(lay.CHE)
-	pl.accumulateOn(StageCHE, mark, "chest", lay.CHE, sDet)
-	if sDet == cfg.NPilot-1 {
-		// Noise combine: needs both pilot estimates. On a layout where NE
-		// shares the detection partition this serializes behind the chest
-		// task by clock continuity; on a dedicated NE partition the
-		// NotBefore handshake carries the dependency.
-		mark = pl.m.Mark()
-		j := pl.comb.Job()
-		j.NotBefore = max(pl.finDet[0], pl.finDet[cfg.NPilot-1])
-		if err := pl.m.Run(j); err != nil {
-			return err
-		}
-		pl.finNE = pl.m.MaxTime(lay.NE)
-		pl.accumulateOn(StageNE, mark, "combine", lay.NE, sDet)
+	// Noise combine: needs both pilot estimates. On a layout where NE
+	// shares the detection partition this serializes behind the chest
+	// task by clock continuity; on a dedicated NE partition the
+	// NotBefore handshake carries the dependency.
+	mark = pl.m.Mark()
+	j := pl.comb.Job()
+	j.NotBefore = max(pl.finDet[0], pl.finDet[cfg.NPilot-1])
+	if err := pl.m.Run(j); err != nil {
+		return err
 	}
+	pl.sync()
+	pl.finNE = pl.accumulate(StageNE, mark, "combine", lay.NE, sDet)
 	return nil
+}
+
+// gated appends jobs to dst, each held back until notBefore.
+func gated(dst []engine.Job, notBefore int64, jobs ...engine.Job) []engine.Job {
+	for _, j := range jobs {
+		j.NotBefore = notBefore
+		dst = append(dst, j)
+	}
+	return dst
+}
+
+// sync closes one Machine.Run. The sequential layout runs a cluster-wide
+// barrier. No barrier ever runs in a pipelined slot, so it instead
+// retires the bank-reservation pages every live core has moved past, to
+// bound simulator memory.
+func (pl *Pipeline) sync() {
+	if pl.nbuf == 1 {
+		pl.m.ClusterBarrier()
+		return
+	}
+	pl.m.TrimReservations(pl.live)
 }
 
 // Cycles returns the simulated cycles spent in RunSymbol calls so far.
