@@ -307,36 +307,77 @@ func TestPipelinedBeatsSequentialOnGateShape(t *testing.T) {
 	}
 }
 
-// TestPipelinedRunSymbolContract pins the pipelined Pipeline's API
-// contract: symbols must arrive in order and never after Drain.
+// TestPipelinedRunSymbolContract pins the Pipeline's API contract on
+// both layouts: symbols must arrive in order, within the slot, never
+// after Drain, and as NR rows of NSC samples. Malformed input must
+// error, not panic.
 func TestPipelinedRunSymbolContract(t *testing.T) {
-	cfg := pipelinedGoldenConfig()
-	cfg.setDefaults()
-	if err := cfg.validate(); err != nil {
-		t.Fatal(err)
-	}
-	pl, err := NewPipeline(engine.NewMachine(cfg.Cluster), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pl.RunSymbol(1, nil); err == nil {
-		t.Error("out-of-order RunSymbol accepted")
-	}
-	if err := pl.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	if err := pl.RunSymbol(0, nil); err == nil {
-		t.Error("RunSymbol after Drain accepted")
-	}
-	// One symbol past the slot length must error, not panic on the
-	// finish-time slices.
-	pl2, err := NewPipeline(engine.NewMachine(cfg.Cluster), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl2.issued = cfg.NSymb
-	if err := pl2.RunSymbol(cfg.NSymb, nil); err == nil {
-		t.Error("RunSymbol past NSymb accepted")
+	for _, lay := range []struct {
+		name   string
+		layout func(*arch.Config) Layout
+	}{
+		{"sequential", func(*arch.Config) Layout { return Sequential }},
+		{"pipelined", StockPipelined},
+	} {
+		t.Run(lay.name, func(t *testing.T) {
+			cfg := goldenChainConfig()
+			cfg.Layout = lay.layout(cfg.Cluster)
+			cfg.setDefaults()
+			if err := cfg.validate(); err != nil {
+				t.Fatal(err)
+			}
+			newPipeline := func() *Pipeline {
+				pl, err := NewPipeline(engine.NewMachine(cfg.Cluster), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return pl
+			}
+			rx := func(nr, nsc int) [][]complex128 {
+				rows := make([][]complex128, nr)
+				for a := range rows {
+					rows[a] = make([]complex128, nsc)
+				}
+				return rows
+			}
+			ragged := rx(cfg.NR, cfg.NSC)
+			ragged[cfg.NR-1] = ragged[cfg.NR-1][:cfg.NSC-1]
+			for _, bad := range []struct {
+				name string
+				rx   [][]complex128
+			}{
+				{"nil", nil},
+				{"too few antennas", rx(cfg.NR-1, cfg.NSC)},
+				{"too many antennas", rx(cfg.NR+1, cfg.NSC)},
+				{"too many samples", rx(cfg.NR, cfg.NSC+1)},
+				{"ragged", ragged},
+			} {
+				if err := newPipeline().RunSymbol(0, bad.rx); err == nil {
+					t.Errorf("%s input accepted", bad.name)
+				}
+			}
+
+			pl := newPipeline()
+			if err := pl.RunSymbol(1, rx(cfg.NR, cfg.NSC)); err == nil {
+				t.Error("out-of-order RunSymbol accepted")
+			}
+			if err := pl.RunSymbol(0, rx(cfg.NR, cfg.NSC)); err != nil {
+				t.Fatalf("well-formed symbol 0 rejected: %v", err)
+			}
+			if err := pl.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			if err := pl.RunSymbol(1, rx(cfg.NR, cfg.NSC)); err == nil {
+				t.Error("RunSymbol after Drain accepted")
+			}
+			// One symbol past the slot length must error, not panic on the
+			// finish-time slices.
+			pl2 := newPipeline()
+			pl2.issued = cfg.NSymb
+			if err := pl2.RunSymbol(cfg.NSymb, rx(cfg.NR, cfg.NSC)); err == nil {
+				t.Error("RunSymbol past NSymb accepted")
+			}
+		})
 	}
 }
 

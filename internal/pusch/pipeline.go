@@ -247,7 +247,7 @@ func trackFor(cores []int) string {
 }
 
 // RunSymbol processes OFDM symbol s from its per-antenna time-domain
-// samples: FFT and beamforming on every symbol,
+// samples (NR rows of NSC samples): FFT and beamforming on every symbol,
 // then channel estimation (plus the noise-estimate combine after the
 // last pilot) on pilot symbols or MIMO detection on data symbols.
 // Symbols must be run in order 0..NSymb-1. The sequential layout runs
@@ -264,6 +264,13 @@ func (pl *Pipeline) RunSymbol(s int, rx [][]complex128) error {
 		return fmt.Errorf("pusch: RunSymbol(%d) out of order, want %d", s, pl.issued)
 	case s >= cfg.NSymb:
 		return fmt.Errorf("pusch: RunSymbol(%d) beyond the slot's %d symbols", s, cfg.NSymb)
+	case len(rx) != cfg.NR:
+		return fmt.Errorf("pusch: RunSymbol(%d) got %d antennas, want %d", s, len(rx), cfg.NR)
+	}
+	for a, samples := range rx {
+		if len(samples) != cfg.NSC {
+			return fmt.Errorf("pusch: RunSymbol(%d) antenna %d has %d samples, want %d", s, a, len(samples), cfg.NSC)
+		}
 	}
 	plan := pl.fftPlans[s%pl.nbuf]
 	for a, samples := range rx {
