@@ -16,8 +16,9 @@ import (
 // written under an older derivation can never serve an entry to a
 // newer one: a stale key simply misses and the slot is re-simulated —
 // wrong timing is impossible by construction. Bump it whenever the key
-// stops capturing a coordinate that affects timing or payload.
-const CacheKeySchema = "tc1"
+// stops capturing a coordinate that affects timing or payload, or a
+// coordinate's recorded figures change.
+const CacheKeySchema = "tc2"
 
 // CacheKey returns the full scenario coordinate of one chain run: the
 // deterministic identity under which the service-time cache

@@ -212,6 +212,54 @@ func TestGoldenPipelinedLayout(t *testing.T) {
 	}
 }
 
+// TestStageWallsWithinSlot: a stage's wall can never exceed the slot
+// it ran in, and no record phase may claim more than the whole slot.
+// Pipelined stages are measured over the cores their plans enroll; a
+// window taken over a whole partition counted idle cores still at their
+// starting clock and stretched every FFT window back to it.
+func TestStageWallsWithinSlot(t *testing.T) {
+	gate := ChainConfig{
+		Cluster: arch.MemPool(),
+		NSC:     64, NR: 16, NB: 8, NL: 4,
+		NSymb: 14, NPilot: 2,
+		Scheme: waveform.QPSK,
+		SNRdB:  20,
+		Seed:   1,
+	}
+	teraPool := goldenChainConfig()
+	teraPool.Cluster = arch.TeraPool()
+	teraPool.NSymb = 14
+	for _, base := range []struct {
+		name string
+		cfg  ChainConfig
+	}{{"mempool-64sc", gate}, {"terapool-256sc", teraPool}} {
+		for _, name := range []string{"sequential", "pipe", "pipe/f64/b32/d64"} {
+			t.Run(base.name+"/"+name, func(t *testing.T) {
+				cfg := base.cfg
+				lay, err := ParseLayout(name, cfg.Cluster)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Layout = lay
+				res, err := RunChain(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, st := range Stages {
+					if wall := res.Stages[st].Wall; wall > res.TotalCycles {
+						t.Errorf("stage %s wall %d exceeds the %d-cycle slot", st, wall, res.TotalCycles)
+					}
+				}
+				for _, ph := range res.Record(cfg).Phases {
+					if ph.Share > 1 {
+						t.Errorf("phase %s share %v > 1", ph.Name, ph.Share)
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestPipelinedDeterministicAcrossMachines runs the pipelined chain on
 // a fresh machine, a caller-supplied machine and a Reset reused one,
 // requiring identical cycles, metrics and stage walls: the property the

@@ -41,8 +41,15 @@ type Pipeline struct {
 	// sequential layout, 2 for a pipelined one. Symbol s uses set s%nbuf.
 	nbuf int
 	// part holds each stage's core partition; the sequential layout
-	// gives every stage the whole cluster.
+	// gives every stage the whole cluster. Trace tracks are named after
+	// it.
 	part Layout
+	// meas holds the cores each stage is measured over: the partition
+	// under the sequential layout, whose barriers move every core, and
+	// the sorted union of the stage's job cores under a pipelined one,
+	// so that partition cores no plan enrolls (an FFT partition wider
+	// than the transforms' lane sets) never stretch a stage's window.
+	meas Layout
 
 	fftPlans  []*fft.Plan
 	bfPlans   []*mmm.Plan
@@ -61,8 +68,8 @@ type Pipeline struct {
 	issued  int // symbols fed in so far
 	drained bool
 
-	// live is the sorted union of every plan's job cores: the only
-	// cores whose clocks advance during a pipelined slot.
+	// live is the union of the meas sets: the only cores whose clocks
+	// advance during a pipelined slot.
 	live []int
 
 	start    int64
@@ -186,47 +193,57 @@ func (pl *Pipeline) plan() error {
 	pl.finFFT = make([]int64, cfg.NSymb)
 	pl.finBF = make([]int64, cfg.NSymb)
 	pl.finDet = make([]int64, cfg.NSymb)
-	pl.live = pl.liveCores()
+	if pl.nbuf == 1 {
+		pl.meas = pl.part
+		return nil
+	}
+	var fftJobs, bfJobs, cheJobs, mimoJobs []engine.Job
+	for b := range pl.fftPlans {
+		fftJobs = append(fftJobs, pl.fftPlans[b].JobsList()...)
+		bfJobs = append(bfJobs, pl.bfPlans[b].Job())
+		mimoJobs = append(mimoJobs, pl.mimoPlans[b].JobsList()...)
+	}
+	for _, p := range pl.chestPlans {
+		cheJobs = append(cheJobs, p.JobsList()...)
+	}
+	pl.meas = Layout{
+		FFT:  jobCores(fftJobs),
+		BF:   jobCores(bfJobs),
+		CHE:  jobCores(cheJobs),
+		NE:   jobCores([]engine.Job{pl.comb.Job()}),
+		MIMO: jobCores(mimoJobs),
+	}
+	pl.live = union(pl.meas.FFT, pl.meas.BF, pl.meas.CHE, pl.meas.NE, pl.meas.MIMO)
 	return nil
 }
 
-// liveCores returns the sorted union of the plans' job cores. Partition
-// cores no plan enrolls (an FFT partition wider than the transforms'
-// lane sets) never leave cycle 0, so they must not hold back
-// reservation retirement.
-func (pl *Pipeline) liveCores() []int {
-	jobs := []engine.Job{pl.comb.Job()}
-	for b := range pl.fftPlans {
-		jobs = append(jobs, pl.fftPlans[b].JobsList()...)
-		jobs = append(jobs, pl.bfPlans[b].Job())
-		jobs = append(jobs, pl.mimoPlans[b].JobsList()...)
+// jobCores returns the sorted union of the jobs' cores.
+func jobCores(jobs []engine.Job) CoreSet {
+	sets := make([][]int, len(jobs))
+	for i, j := range jobs {
+		sets[i] = j.Cores
 	}
-	for _, cp := range pl.chestPlans {
-		jobs = append(jobs, cp.JobsList()...)
-	}
-	enrolled := make([]bool, pl.m.Cfg.NumCores())
-	for _, j := range jobs {
-		for _, c := range j.Cores {
-			enrolled[c] = true
-		}
-	}
-	var live []int
-	for c, ok := range enrolled {
-		if ok {
-			live = append(live, c)
-		}
-	}
-	return live
+	return union(sets...)
 }
 
-// accumulate folds one measured window over a stage's core set into the
-// per-stage aggregate and returns the set's finish time. Under a
-// pipelined layout the window includes the partition's NotBefore wait,
-// so a stage's Wall reads as partition occupancy and the per-stage
+// union returns the sorted union of core sets.
+func union(sets ...[]int) CoreSet {
+	var u CoreSet
+	for _, set := range sets {
+		u = append(u, set...)
+	}
+	slices.Sort(u)
+	return slices.Compact(u)
+}
+
+// accumulate folds one measured window over a stage's cores into the
+// per-stage aggregate and returns their finish time. Under a pipelined
+// layout the window includes the NotBefore wait, so a stage's Wall
+// reads as the occupancy of the cores it enrolls, and the per-stage
 // walls of one slot overlap in time. When a trace is attached, the same
 // window becomes one stage-level span named "<name> s<sym>" on the
-// partition's track.
-func (pl *Pipeline) accumulate(stage Stage, mark engine.Mark, name string, cores []int, sym int) int64 {
+// track of the stage's partition.
+func (pl *Pipeline) accumulate(stage Stage, mark engine.Mark, name string, part, cores []int, sym int) int64 {
 	rep := pl.m.ReportSince(mark, name, cores)
 	agg := pl.stages[stage]
 	agg.Name = string(stage)
@@ -236,7 +253,7 @@ func (pl *Pipeline) accumulate(stage Stage, mark engine.Mark, name string, cores
 	pl.stages[stage] = agg
 	if pl.trace != nil {
 		start, end := pl.m.WindowSince(mark, cores)
-		pl.trace.Add(trackFor(cores), fmt.Sprintf("%s s%d", name, sym), start, end)
+		pl.trace.Add(trackFor(part), fmt.Sprintf("%s s%d", name, sym), start, end)
 	}
 	return pl.m.MaxTime(cores)
 }
@@ -364,20 +381,20 @@ func (pl *Pipeline) beat(sFFT, sBF, sDet int) error {
 	}
 	pl.sync()
 	if doFFT {
-		pl.finFFT[sFFT] = pl.accumulate(StageOFDM, mark, "fft", lay.FFT, sFFT)
+		pl.finFFT[sFFT] = pl.accumulate(StageOFDM, mark, "fft", lay.FFT, pl.meas.FFT, sFFT)
 	}
 	if doBF {
-		pl.finBF[sBF] = pl.accumulate(StageBF, mark, "bf", lay.BF, sBF)
+		pl.finBF[sBF] = pl.accumulate(StageBF, mark, "bf", lay.BF, pl.meas.BF, sBF)
 	}
 	switch {
 	case !doDet:
 		return nil
 	case sDet >= cfg.NPilot:
-		pl.finDet[sDet] = pl.accumulate(StageMIMO, mark, "mimo", lay.MIMO, sDet)
+		pl.finDet[sDet] = pl.accumulate(StageMIMO, mark, "mimo", lay.MIMO, pl.meas.MIMO, sDet)
 		pl.detected = append(pl.detected, pl.mimoPlans[sDet%pl.nbuf].ReadX()...)
 		return nil
 	}
-	pl.finDet[sDet] = pl.accumulate(StageCHE, mark, "chest", lay.CHE, sDet)
+	pl.finDet[sDet] = pl.accumulate(StageCHE, mark, "chest", lay.CHE, pl.meas.CHE, sDet)
 	if sDet < cfg.NPilot-1 {
 		return nil
 	}
@@ -392,7 +409,7 @@ func (pl *Pipeline) beat(sFFT, sBF, sDet int) error {
 		return err
 	}
 	pl.sync()
-	pl.finNE = pl.accumulate(StageNE, mark, "combine", lay.NE, sDet)
+	pl.finNE = pl.accumulate(StageNE, mark, "combine", lay.NE, pl.meas.NE, sDet)
 	return nil
 }
 

@@ -106,7 +106,7 @@ func TestPoisonedCacheEntry(t *testing.T) {
 	// a plausible-looking but wrong-coordinate key. If either were ever
 	// served, its absurd 1-cycle service time would change the stream.
 	cache.Add("tc0|chain/mempool/256c/4ue/chol0/qpsk|old-derivation", poison)
-	cache.Add("tc1|chain/mempool/256c/4ue/chol0/qpsk|nsc64/nr16/nb8/sy6/pi2|snr20|bogus", poison)
+	cache.Add("tc2|chain/mempool/256c/4ue/chol0/qpsk|nsc64/nr16/nb8/sy6/pi2|snr20|bogus", poison)
 
 	got, sum := serveBytes(t, Config{Seed: 1, Workers: 1, Cache: cache}, trace)
 	if !bytes.Equal(cold, got) {

@@ -38,30 +38,30 @@ func cacheKeyGoldenConfigs() []pusch.ChainConfig {
 // bump.
 func TestCacheKeyGolden(t *testing.T) {
 	want := []string{
-		"tc1|chain/mempool/256c/1ue/chol0/qpsk|nsc256/nr16/nb8/sy6/pi2|snr20|amp0.25:0.5|taps4|seed5eed|archdf740d41995dc463",
-		"tc1|chain/mempool/256c/1ue/chol0/qpsk/tdl-b/csabc/t2.25|nsc256/nr16/nb8/sy6/pi2|snr-3.5|amp0.25:0.5|taps4|seed5eed|interp|fd30/k1.5/ds100|archdf740d41995dc463",
-		"tc1|chain/mempool/256c/2ue/chol0/16qam|nsc256/nr16/nb8/sy6/pi2|snr20|amp0.25:0.5|taps4|seed5eee|archdf740d41995dc463",
-		"tc1|chain/mempool/256c/2ue/chol0/16qam/tdl-b/csabd/t2.25|nsc256/nr16/nb8/sy6/pi2|snr-3.5|amp0.25:0.5|taps4|seed5eee|interp|fd30/k1.5/ds100|archdf740d41995dc463",
-		"tc1|chain/mempool/256c/4ue/chol0/64qam|nsc256/nr16/nb8/sy6/pi2|snr20|amp0.25:0.5|taps4|seed5eef|archdf740d41995dc463",
-		"tc1|chain/mempool/256c/4ue/chol0/64qam/tdl-b/csabe/t2.25|nsc256/nr16/nb8/sy6/pi2|snr-3.5|amp0.25:0.5|taps4|seed5eef|interp|fd30/k1.5/ds100|archdf740d41995dc463",
-		"tc1|chain/mempool/256c/1ue/chol0/qpsk/pipe/f128/b64/d64|nsc256/nr16/nb8/sy6/pi2|snr20|amp0.25:0.5|taps4|seed5eed|archdf740d41995dc463",
-		"tc1|chain/mempool/256c/1ue/chol0/qpsk/tdl-b/csabc/t2.25/pipe/f128/b64/d64|nsc256/nr16/nb8/sy6/pi2|snr-3.5|amp0.25:0.5|taps4|seed5eed|interp|fd30/k1.5/ds100|archdf740d41995dc463",
-		"tc1|chain/mempool/256c/2ue/chol0/16qam/pipe/f128/b64/d64|nsc256/nr16/nb8/sy6/pi2|snr20|amp0.25:0.5|taps4|seed5eee|archdf740d41995dc463",
-		"tc1|chain/mempool/256c/2ue/chol0/16qam/tdl-b/csabd/t2.25/pipe/f128/b64/d64|nsc256/nr16/nb8/sy6/pi2|snr-3.5|amp0.25:0.5|taps4|seed5eee|interp|fd30/k1.5/ds100|archdf740d41995dc463",
-		"tc1|chain/mempool/256c/4ue/chol0/64qam/pipe/f128/b64/d64|nsc256/nr16/nb8/sy6/pi2|snr20|amp0.25:0.5|taps4|seed5eef|archdf740d41995dc463",
-		"tc1|chain/mempool/256c/4ue/chol0/64qam/tdl-b/csabe/t2.25/pipe/f128/b64/d64|nsc256/nr16/nb8/sy6/pi2|snr-3.5|amp0.25:0.5|taps4|seed5eef|interp|fd30/k1.5/ds100|archdf740d41995dc463",
-		"tc1|chain/terapool/1024c/1ue/chol0/qpsk|nsc256/nr16/nb8/sy6/pi2|snr20|amp0.25:0.5|taps4|seed5eed|arch52f6289be17f4c26",
-		"tc1|chain/terapool/1024c/1ue/chol0/qpsk/tdl-b/csabc/t2.25|nsc256/nr16/nb8/sy6/pi2|snr-3.5|amp0.25:0.5|taps4|seed5eed|interp|fd30/k1.5/ds100|arch52f6289be17f4c26",
-		"tc1|chain/terapool/1024c/2ue/chol0/16qam|nsc256/nr16/nb8/sy6/pi2|snr20|amp0.25:0.5|taps4|seed5eee|arch52f6289be17f4c26",
-		"tc1|chain/terapool/1024c/2ue/chol0/16qam/tdl-b/csabd/t2.25|nsc256/nr16/nb8/sy6/pi2|snr-3.5|amp0.25:0.5|taps4|seed5eee|interp|fd30/k1.5/ds100|arch52f6289be17f4c26",
-		"tc1|chain/terapool/1024c/4ue/chol0/64qam|nsc256/nr16/nb8/sy6/pi2|snr20|amp0.25:0.5|taps4|seed5eef|arch52f6289be17f4c26",
-		"tc1|chain/terapool/1024c/4ue/chol0/64qam/tdl-b/csabe/t2.25|nsc256/nr16/nb8/sy6/pi2|snr-3.5|amp0.25:0.5|taps4|seed5eef|interp|fd30/k1.5/ds100|arch52f6289be17f4c26",
-		"tc1|chain/terapool/1024c/1ue/chol0/qpsk/pipe/f512/b256/d256|nsc256/nr16/nb8/sy6/pi2|snr20|amp0.25:0.5|taps4|seed5eed|arch52f6289be17f4c26",
-		"tc1|chain/terapool/1024c/1ue/chol0/qpsk/tdl-b/csabc/t2.25/pipe/f512/b256/d256|nsc256/nr16/nb8/sy6/pi2|snr-3.5|amp0.25:0.5|taps4|seed5eed|interp|fd30/k1.5/ds100|arch52f6289be17f4c26",
-		"tc1|chain/terapool/1024c/2ue/chol0/16qam/pipe/f512/b256/d256|nsc256/nr16/nb8/sy6/pi2|snr20|amp0.25:0.5|taps4|seed5eee|arch52f6289be17f4c26",
-		"tc1|chain/terapool/1024c/2ue/chol0/16qam/tdl-b/csabd/t2.25/pipe/f512/b256/d256|nsc256/nr16/nb8/sy6/pi2|snr-3.5|amp0.25:0.5|taps4|seed5eee|interp|fd30/k1.5/ds100|arch52f6289be17f4c26",
-		"tc1|chain/terapool/1024c/4ue/chol0/64qam/pipe/f512/b256/d256|nsc256/nr16/nb8/sy6/pi2|snr20|amp0.25:0.5|taps4|seed5eef|arch52f6289be17f4c26",
-		"tc1|chain/terapool/1024c/4ue/chol0/64qam/tdl-b/csabe/t2.25/pipe/f512/b256/d256|nsc256/nr16/nb8/sy6/pi2|snr-3.5|amp0.25:0.5|taps4|seed5eef|interp|fd30/k1.5/ds100|arch52f6289be17f4c26",
+		"tc2|chain/mempool/256c/1ue/chol0/qpsk|nsc256/nr16/nb8/sy6/pi2|snr20|amp0.25:0.5|taps4|seed5eed|archdf740d41995dc463",
+		"tc2|chain/mempool/256c/1ue/chol0/qpsk/tdl-b/csabc/t2.25|nsc256/nr16/nb8/sy6/pi2|snr-3.5|amp0.25:0.5|taps4|seed5eed|interp|fd30/k1.5/ds100|archdf740d41995dc463",
+		"tc2|chain/mempool/256c/2ue/chol0/16qam|nsc256/nr16/nb8/sy6/pi2|snr20|amp0.25:0.5|taps4|seed5eee|archdf740d41995dc463",
+		"tc2|chain/mempool/256c/2ue/chol0/16qam/tdl-b/csabd/t2.25|nsc256/nr16/nb8/sy6/pi2|snr-3.5|amp0.25:0.5|taps4|seed5eee|interp|fd30/k1.5/ds100|archdf740d41995dc463",
+		"tc2|chain/mempool/256c/4ue/chol0/64qam|nsc256/nr16/nb8/sy6/pi2|snr20|amp0.25:0.5|taps4|seed5eef|archdf740d41995dc463",
+		"tc2|chain/mempool/256c/4ue/chol0/64qam/tdl-b/csabe/t2.25|nsc256/nr16/nb8/sy6/pi2|snr-3.5|amp0.25:0.5|taps4|seed5eef|interp|fd30/k1.5/ds100|archdf740d41995dc463",
+		"tc2|chain/mempool/256c/1ue/chol0/qpsk/pipe/f128/b64/d64|nsc256/nr16/nb8/sy6/pi2|snr20|amp0.25:0.5|taps4|seed5eed|archdf740d41995dc463",
+		"tc2|chain/mempool/256c/1ue/chol0/qpsk/tdl-b/csabc/t2.25/pipe/f128/b64/d64|nsc256/nr16/nb8/sy6/pi2|snr-3.5|amp0.25:0.5|taps4|seed5eed|interp|fd30/k1.5/ds100|archdf740d41995dc463",
+		"tc2|chain/mempool/256c/2ue/chol0/16qam/pipe/f128/b64/d64|nsc256/nr16/nb8/sy6/pi2|snr20|amp0.25:0.5|taps4|seed5eee|archdf740d41995dc463",
+		"tc2|chain/mempool/256c/2ue/chol0/16qam/tdl-b/csabd/t2.25/pipe/f128/b64/d64|nsc256/nr16/nb8/sy6/pi2|snr-3.5|amp0.25:0.5|taps4|seed5eee|interp|fd30/k1.5/ds100|archdf740d41995dc463",
+		"tc2|chain/mempool/256c/4ue/chol0/64qam/pipe/f128/b64/d64|nsc256/nr16/nb8/sy6/pi2|snr20|amp0.25:0.5|taps4|seed5eef|archdf740d41995dc463",
+		"tc2|chain/mempool/256c/4ue/chol0/64qam/tdl-b/csabe/t2.25/pipe/f128/b64/d64|nsc256/nr16/nb8/sy6/pi2|snr-3.5|amp0.25:0.5|taps4|seed5eef|interp|fd30/k1.5/ds100|archdf740d41995dc463",
+		"tc2|chain/terapool/1024c/1ue/chol0/qpsk|nsc256/nr16/nb8/sy6/pi2|snr20|amp0.25:0.5|taps4|seed5eed|arch52f6289be17f4c26",
+		"tc2|chain/terapool/1024c/1ue/chol0/qpsk/tdl-b/csabc/t2.25|nsc256/nr16/nb8/sy6/pi2|snr-3.5|amp0.25:0.5|taps4|seed5eed|interp|fd30/k1.5/ds100|arch52f6289be17f4c26",
+		"tc2|chain/terapool/1024c/2ue/chol0/16qam|nsc256/nr16/nb8/sy6/pi2|snr20|amp0.25:0.5|taps4|seed5eee|arch52f6289be17f4c26",
+		"tc2|chain/terapool/1024c/2ue/chol0/16qam/tdl-b/csabd/t2.25|nsc256/nr16/nb8/sy6/pi2|snr-3.5|amp0.25:0.5|taps4|seed5eee|interp|fd30/k1.5/ds100|arch52f6289be17f4c26",
+		"tc2|chain/terapool/1024c/4ue/chol0/64qam|nsc256/nr16/nb8/sy6/pi2|snr20|amp0.25:0.5|taps4|seed5eef|arch52f6289be17f4c26",
+		"tc2|chain/terapool/1024c/4ue/chol0/64qam/tdl-b/csabe/t2.25|nsc256/nr16/nb8/sy6/pi2|snr-3.5|amp0.25:0.5|taps4|seed5eef|interp|fd30/k1.5/ds100|arch52f6289be17f4c26",
+		"tc2|chain/terapool/1024c/1ue/chol0/qpsk/pipe/f512/b256/d256|nsc256/nr16/nb8/sy6/pi2|snr20|amp0.25:0.5|taps4|seed5eed|arch52f6289be17f4c26",
+		"tc2|chain/terapool/1024c/1ue/chol0/qpsk/tdl-b/csabc/t2.25/pipe/f512/b256/d256|nsc256/nr16/nb8/sy6/pi2|snr-3.5|amp0.25:0.5|taps4|seed5eed|interp|fd30/k1.5/ds100|arch52f6289be17f4c26",
+		"tc2|chain/terapool/1024c/2ue/chol0/16qam/pipe/f512/b256/d256|nsc256/nr16/nb8/sy6/pi2|snr20|amp0.25:0.5|taps4|seed5eee|arch52f6289be17f4c26",
+		"tc2|chain/terapool/1024c/2ue/chol0/16qam/tdl-b/csabd/t2.25/pipe/f512/b256/d256|nsc256/nr16/nb8/sy6/pi2|snr-3.5|amp0.25:0.5|taps4|seed5eee|interp|fd30/k1.5/ds100|arch52f6289be17f4c26",
+		"tc2|chain/terapool/1024c/4ue/chol0/64qam/pipe/f512/b256/d256|nsc256/nr16/nb8/sy6/pi2|snr20|amp0.25:0.5|taps4|seed5eef|arch52f6289be17f4c26",
+		"tc2|chain/terapool/1024c/4ue/chol0/64qam/tdl-b/csabe/t2.25/pipe/f512/b256/d256|nsc256/nr16/nb8/sy6/pi2|snr-3.5|amp0.25:0.5|taps4|seed5eef|interp|fd30/k1.5/ds100|arch52f6289be17f4c26",
 	}
 	cfgs := cacheKeyGoldenConfigs()
 	if len(cfgs) != len(want) {
