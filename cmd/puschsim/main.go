@@ -481,7 +481,7 @@ func runChain(cluster *sim.Config, snr float64, chSpec pusch.ChannelSpec, layout
 	fmt.Printf("%d cycles (%.3f ms at 1 GHz)\n", res.TotalCycles, res.TimeMs)
 	kind := "cycles"
 	if layout.Pipelined() {
-		kind = "cycles of partition occupancy"
+		kind = "cycles of enrolled-core occupancy"
 	}
 	for _, st := range pusch.Stages {
 		rep := res.Stages[st]

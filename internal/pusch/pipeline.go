@@ -443,9 +443,9 @@ func (pl *Pipeline) Cycles() int64 { return pl.m.Cycles() - pl.start }
 func (pl *Pipeline) Detected() []fixed.C15 { return pl.detected }
 
 // Stages returns the per-stage aggregated reports. Under a pipelined
-// layout the stage walls measure partition occupancy (work plus
-// handshake waits) and overlap in time, so they do not sum to the slot
-// total the way sequential stages do.
+// layout the stage walls measure the occupancy of the cores each stage
+// enrolls (work plus handshake waits) and overlap in time, so they do
+// not sum to the slot total the way sequential stages do.
 func (pl *Pipeline) Stages() map[Stage]engine.Report { return pl.stages }
 
 // Sigma returns the estimated noise variance after the pilot symbols
