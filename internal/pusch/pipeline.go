@@ -207,18 +207,18 @@ func (pl *Pipeline) plan() error {
 		cheJobs = append(cheJobs, p.JobsList()...)
 	}
 	pl.meas = Layout{
-		FFT:  jobCores(fftJobs),
-		BF:   jobCores(bfJobs),
-		CHE:  jobCores(cheJobs),
-		NE:   jobCores([]engine.Job{pl.comb.Job()}),
-		MIMO: jobCores(mimoJobs),
+		FFT:  jobCores(fftJobs...),
+		BF:   jobCores(bfJobs...),
+		CHE:  jobCores(cheJobs...),
+		NE:   jobCores(pl.comb.Job()),
+		MIMO: jobCores(mimoJobs...),
 	}
 	pl.live = union(pl.meas.FFT, pl.meas.BF, pl.meas.CHE, pl.meas.NE, pl.meas.MIMO)
 	return nil
 }
 
 // jobCores returns the sorted union of the jobs' cores.
-func jobCores(jobs []engine.Job) CoreSet {
+func jobCores(jobs ...engine.Job) CoreSet {
 	sets := make([][]int, len(jobs))
 	for i, j := range jobs {
 		sets[i] = j.Cores
@@ -423,8 +423,8 @@ func gated(dst []engine.Job, notBefore int64, jobs ...engine.Job) []engine.Job {
 }
 
 // sync closes one Machine.Run. The sequential layout runs a cluster-wide
-// barrier. No barrier ever runs in a pipelined slot, so it instead
-// retires the bank-reservation pages every live core has moved past, to
+// barrier. No cluster-wide barrier runs in a pipelined slot, so it
+// instead retires the bank-reservation pages every live core has moved past, to
 // bound simulator memory.
 func (pl *Pipeline) sync() {
 	if pl.nbuf == 1 {
