@@ -33,9 +33,8 @@ var errNoModel = errors.New("analytic timing requested but no calibration model 
 // entirely instead of — the cache and the machine pool; their stamped
 // records can never enter the cache (CacheKey refuses them, and
 // timecache.Add refuses stamped records). A cache-key derivation error
-// (invalid config, non-canonical layout) bypasses the cache entirely:
-// invalid configs still surface as errors from the measurement itself,
-// and unkeyable-but-valid ones are simply measured every time.
+// (an invalid config) bypasses the cache entirely: the error surfaces
+// from the measurement itself.
 func Resolve(pool *engine.Machines, cfg pusch.ChainConfig, cache *timecache.Cache, model *timing.Model, measure MeasureFunc) (report.SlotRecord, error) {
 	if cfg.Timing == pusch.TimingAnalytic {
 		if model == nil {

@@ -35,9 +35,8 @@ const CacheKeySchema = "tc2"
 // channel parameters, and a fingerprint of the full cluster geometry
 // (so custom scaled clusters sharing a stock name never collide).
 //
-// Configurations without a replayable coordinate — invalid ones, or
-// hand-built non-canonical layouts — return an error; callers bypass
-// the cache for them and measure directly.
+// Invalid configurations have no replayable coordinate and return an
+// error; callers bypass the cache for them and measure directly.
 func (c ChainConfig) CacheKey() (string, error) {
 	if c.Cluster == nil {
 		// Same fallback every measurement path applies (sched.measureChain,
@@ -56,11 +55,7 @@ func (c ChainConfig) CacheKey() (string, error) {
 	}
 	layout := ""
 	if c.Layout.Pipelined() {
-		w, err := c.Layout.Wire()
-		if err != nil {
-			return "", fmt.Errorf("pusch: cache key: %w", err)
-		}
-		layout = w
+		layout = c.Layout.String()
 	}
 	skel := report.SlotRecord{
 		Kind:    "chain",

@@ -2,80 +2,44 @@ package pusch
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 
 	"repro/internal/arch"
 )
 
-// CoreSet is an explicit, ordered set of simulator core ids: the unit a
-// Layout hands to each chain stage. Kernel plans carve their lane sets
-// from it in order, so a CoreSet is also a mapping from lane index to
-// physical core.
-type CoreSet []int
-
-// coreRange returns the contiguous core set [lo, lo+n).
-func coreRange(lo, n int) CoreSet {
-	cs := make(CoreSet, n)
-	for i := range cs {
-		cs[i] = lo + i
-	}
-	return cs
-}
-
-// asRange reports whether the set is the contiguous ascending range
-// [lo, lo+len), returning its bounds.
-func (cs CoreSet) asRange() (lo, n int, ok bool) {
-	if len(cs) == 0 {
-		return 0, 0, false
-	}
-	for i, c := range cs {
-		if c != cs[0]+i {
-			return 0, 0, false
-		}
-	}
-	return cs[0], len(cs), true
-}
-
-// Layout assigns each chain stage an explicit core partition, the
-// spatial-pipelining axis of the TeraPool SDR follow-up papers: instead
-// of every kernel spanning the whole cluster with the stages running
-// back to back, disjoint partitions host the stages concurrently, so
-// OFDM symbol k is in MIMO detection while symbol k+1 is being
-// beamformed and symbol k+2 is in the FFT.
+// Layout maps the chain stages onto core partitions, the spatial-
+// pipelining axis of the TeraPool SDR follow-up papers: instead of
+// every kernel spanning the whole cluster with the stages running back
+// to back, disjoint partitions host the stages concurrently, so OFDM
+// symbol k is in MIMO detection while symbol k+1 is being beamformed
+// and symbol k+2 is in the FFT.
+//
+// A Layout is its wire form "pipe/f<F>/b<B>/d<D>": the first F cores
+// demodulate (FFT), the next B beamform, and the next D form the
+// detection partition shared by channel estimation, the noise combine
+// and MIMO detection. F+B+D may be less than the cluster size — the
+// remaining cores idle, which at small allocations is cheaper than
+// enrolling them in barriers. Layouts compare with ==.
 //
 // The zero value is the sequential layout — every stage owns all cores,
 // one symbol in flight — and reproduces the pre-layout chain cycle for
-// cycle. A pipelined layout must assign all five stages; stages may
-// share a partition (their tasks then serialize on it, preserving the
-// chain's data dependencies), and distinct partitions must be disjoint.
-// Partitions need not cover the cluster: at small slot dimensions,
-// leaving cores idle beats paying their barrier traffic.
+// cycle.
 type Layout struct {
-	FFT  CoreSet // OFDM demodulation (FFT) partition
-	BF   CoreSet // beamforming (MMM) partition
-	CHE  CoreSet // channel-estimation partition
-	NE   CoreSet // noise-combine partition
-	MIMO CoreSet // MIMO-detection partition
+	F int // FFT partition cores, from core 0
+	B int // beamforming partition cores, after the FFT partition
+	D int // detection (CHE, NE, MIMO) partition cores, after beamforming
 }
 
 // Sequential is the zero-value layout: all stages on all cores, one
 // symbol at a time, bit-identical to the pre-layout chain.
 var Sequential = Layout{}
 
-// Pipelined reports whether the layout carries explicit partitions.
-func (l Layout) Pipelined() bool {
-	return len(l.FFT) > 0 || len(l.BF) > 0 || len(l.CHE) > 0 ||
-		len(l.NE) > 0 || len(l.MIMO) > 0
-}
+// Pipelined reports whether the layout partitions the cluster.
+func (l Layout) Pipelined() bool { return l != Sequential }
 
-// PipelinedSplit builds the canonical three-way pipelined layout on a
-// cluster: the first f cores demodulate (FFT), the next b beamform, and
-// the next d form the detection partition shared by channel estimation,
-// the noise combine and MIMO detection. f+b+d may be less than the
-// cluster size — the remaining cores idle, which at small allocations
-// is cheaper than enrolling them in barriers.
+// PipelinedSplit builds the three-way pipelined layout f/b/d, checking
+// that it fits the cluster.
 func PipelinedSplit(cluster *arch.Config, f, b, d int) (Layout, error) {
 	switch {
 	case f <= 0 || b <= 0 || d <= 0:
@@ -83,14 +47,7 @@ func PipelinedSplit(cluster *arch.Config, f, b, d int) (Layout, error) {
 	case f+b+d > cluster.NumCores():
 		return Layout{}, fmt.Errorf("pusch: layout split %d+%d+%d exceeds the %d-core cluster", f, b, d, cluster.NumCores())
 	}
-	det := coreRange(f+b, d)
-	return Layout{
-		FFT:  coreRange(0, f),
-		BF:   coreRange(f, b),
-		CHE:  det,
-		NE:   det,
-		MIMO: det,
-	}, nil
+	return Layout{F: f, B: b, D: d}, nil
 }
 
 // StockPipelined returns the stock partitioned layout for a cluster:
@@ -111,35 +68,13 @@ func StockPipelined(cluster *arch.Config) Layout {
 	return l
 }
 
-// String renders the layout's wire coordinate: "sequential", the
-// canonical "pipe/f<F>/b<B>/d<D>" form for three-way contiguous splits,
-// or "pipe/custom" for hand-built partition sets (which have no
-// replayable wire form; see Wire).
+// String renders the layout's wire coordinate: "sequential" or
+// "pipe/f<F>/b<B>/d<D>".
 func (l Layout) String() string {
 	if !l.Pipelined() {
 		return "sequential"
 	}
-	fLo, f, fOK := l.FFT.asRange()
-	bLo, b, bOK := l.BF.asRange()
-	dLo, d, dOK := l.CHE.asRange()
-	if fOK && bOK && dOK &&
-		slices.Equal(l.CHE, l.NE) && slices.Equal(l.CHE, l.MIMO) &&
-		fLo == 0 && bLo == f && dLo == f+b {
-		return "pipe/f" + strconv.Itoa(f) + "/b" + strconv.Itoa(b) + "/d" + strconv.Itoa(d)
-	}
-	return "pipe/custom"
-}
-
-// Wire returns the replayable wire form of the layout, failing for
-// hand-built partition sets the canonical forms cannot express (like
-// sched's specCluster, emitting an unparseable coordinate would be
-// worse than refusing).
-func (l Layout) Wire() (string, error) {
-	s := l.String()
-	if s == "pipe/custom" {
-		return "", fmt.Errorf("pusch: layout %v is not a canonical split; wire streams carry only sequential or pipe/f<F>/b<B>/d<D> layouts", []CoreSet{l.FFT, l.BF, l.CHE, l.NE, l.MIMO})
-	}
-	return s, nil
+	return "pipe/f" + strconv.Itoa(l.F) + "/b" + strconv.Itoa(l.B) + "/d" + strconv.Itoa(l.D)
 }
 
 // ParseLayout resolves a layout name against a cluster: "" / "seq" /
@@ -173,53 +108,45 @@ func ParseLayout(name string, cluster *arch.Config) (Layout, error) {
 }
 
 // validate checks a pipelined layout against the cluster and the FFT's
-// lane demand: all five stages assigned, cores in range and unique
-// within a set, distinct partitions disjoint (element-wise equal sets
-// are one shared partition), and the FFT partition able to host at
-// least one NSC-point transform.
+// lane demand: positive counts that fit the cluster, and an FFT
+// partition able to host at least one NSC-point transform.
 func (l Layout) validate(cluster *arch.Config, nsc int) error {
 	if !l.Pipelined() {
 		return nil
 	}
-	parts := []struct {
-		name string
-		set  CoreSet
-	}{
-		{"fft", l.FFT}, {"bf", l.BF}, {"che", l.CHE}, {"ne", l.NE}, {"mimo", l.MIMO},
+	if _, err := PipelinedSplit(cluster, l.F, l.B, l.D); err != nil {
+		return err
 	}
-	// owner[c] is 1 + the index (into parts) of the first distinct
-	// partition claiming core c; seen[c] is 1 + the index of the last
-	// partition that listed it.
-	n := cluster.NumCores()
-	owner := make([]uint8, n)
-	seen := make([]uint8, n)
-	var distinct []int // indices of the distinct partitions so far
-	for i, p := range parts {
-		if len(p.set) == 0 {
-			return fmt.Errorf("pusch: pipelined layout leaves stage %s without cores", p.name)
-		}
-		for _, c := range p.set {
-			if c < 0 || c >= n {
-				return fmt.Errorf("pusch: layout stage %s: core %d out of range [0,%d)", p.name, c, n)
-			}
-			if seen[c] == uint8(i+1) {
-				return fmt.Errorf("pusch: layout stage %s lists core %d twice", p.name, c)
-			}
-			seen[c] = uint8(i + 1)
-		}
-		if slices.ContainsFunc(distinct, func(j int) bool { return slices.Equal(parts[j].set, p.set) }) {
-			continue // shared partition, already accounted
-		}
-		distinct = append(distinct, i)
-		for _, c := range p.set {
-			if prev := owner[c]; prev != 0 {
-				return fmt.Errorf("pusch: layout partitions %s and %s both claim core %d (distinct partitions must be disjoint)", parts[prev-1].name, p.name, c)
-			}
-			owner[c] = uint8(i + 1)
-		}
-	}
-	if lanes := nsc / 16; len(l.FFT) < lanes {
-		return fmt.Errorf("pusch: one %d-point FFT needs %d lanes, layout FFT partition has %d cores", nsc, lanes, len(l.FFT))
+	if lanes := nsc / 16; l.F < lanes {
+		return fmt.Errorf("pusch: one %d-point FFT needs %d lanes, layout FFT partition has %d cores", nsc, lanes, l.F)
 	}
 	return nil
+}
+
+// stageCores holds one core set per chain stage. Kernel plans carve
+// their lane sets from a stage's set in order, so a set is also a
+// mapping from lane index to physical core.
+type stageCores struct {
+	fft, bf, che, ne, mimo []int
+}
+
+// partitions returns each stage's core partition on an n-core cluster:
+// the whole cluster for every stage under the sequential layout, else
+// the contiguous f/b/d split.
+func (l Layout) partitions(n int) stageCores {
+	if !l.Pipelined() {
+		all := coreRange(0, n)
+		return stageCores{all, all, all, all, all}
+	}
+	det := coreRange(l.F+l.B, l.D)
+	return stageCores{coreRange(0, l.F), coreRange(l.F, l.B), det, det, det}
+}
+
+// coreRange returns the contiguous core set [lo, lo+n).
+func coreRange(lo, n int) []int {
+	cs := make([]int, n)
+	for i := range cs {
+		cs[i] = lo + i
+	}
+	return cs
 }

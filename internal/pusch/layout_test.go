@@ -43,21 +43,13 @@ func TestParseLayoutForms(t *testing.T) {
 	if got := explicit.String(); got != "pipe/f64/b32/d64" {
 		t.Errorf("explicit split round-trip = %q", got)
 	}
-	if w, err := explicit.Wire(); err != nil || w != "pipe/f64/b32/d64" {
-		t.Errorf("Wire() = %q, %v", w, err)
+	if want := (Layout{F: 64, B: 32, D: 64}); explicit != want {
+		t.Errorf("explicit split = %+v, want %+v", explicit, want)
 	}
 	for _, bad := range []string{"bogus", "pipe/x64/b32/d64", "pipe/f64/b32", "pipe/f64/b32/dxx", "pipe/f999/b64/d64"} {
 		if _, err := ParseLayout(bad, mp); err == nil {
 			t.Errorf("ParseLayout(%q) accepted", bad)
 		}
-	}
-	// Hand-built non-canonical layouts have no wire form.
-	custom := Layout{
-		FFT: CoreSet{0, 2, 4, 6}, BF: CoreSet{1, 3},
-		CHE: CoreSet{8}, NE: CoreSet{8}, MIMO: CoreSet{8},
-	}
-	if _, err := custom.Wire(); err == nil {
-		t.Error("custom layout produced a wire form")
 	}
 }
 
@@ -78,23 +70,17 @@ func TestLayoutValidate(t *testing.T) {
 	if err := small.validate(mp, 256); err == nil {
 		t.Error("8-core FFT partition accepted for a 16-lane FFT")
 	}
-	// Overlapping distinct partitions.
-	overlap := good
-	overlap.BF = CoreSet{60, 61, 62, 63}
-	if err := overlap.validate(mp, 256); err == nil {
-		t.Error("overlapping fft/bf partitions accepted")
-	}
-	// Missing stage.
+	// A partition without cores.
 	missing := good
-	missing.NE = nil
+	missing.B = 0
 	if err := missing.validate(mp, 256); err == nil {
-		t.Error("layout with an unassigned stage accepted")
+		t.Error("layout with an empty beamforming partition accepted")
 	}
-	// Out-of-range core.
-	oor := good
-	oor.MIMO = CoreSet{1 << 20}
-	if err := oor.validate(mp, 256); err == nil {
-		t.Error("out-of-range core accepted")
+	// A split larger than the cluster.
+	oversized := good
+	oversized.D = 1 << 20
+	if err := oversized.validate(mp, 256); err == nil {
+		t.Error("split beyond the cluster accepted")
 	}
 	// Shared partitions (che == ne == mimo) are legal; the stock layout
 	// relies on it.

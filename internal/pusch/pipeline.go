@@ -40,16 +40,15 @@ type Pipeline struct {
 	// nbuf is the number of inter-stage buffer sets: 1 for the
 	// sequential layout, 2 for a pipelined one. Symbol s uses set s%nbuf.
 	nbuf int
-	// part holds each stage's core partition; the sequential layout
-	// gives every stage the whole cluster. Trace tracks are named after
-	// it.
-	part Layout
+	// part holds each stage's core partition (Layout.partitions). Trace
+	// tracks are named after it.
+	part stageCores
 	// meas holds the cores each stage is measured over: the partition
 	// under the sequential layout, whose barriers move every core, and
 	// the sorted union of the stage's job cores under a pipelined one,
 	// so that partition cores no plan enrolls (an FFT partition wider
 	// than the transforms' lane sets) never stretch a stage's window.
-	meas Layout
+	meas stageCores
 
 	fftPlans  []*fft.Plan
 	bfPlans   []*mmm.Plan
@@ -129,22 +128,19 @@ func chainPilotWords(cfg *ChainConfig) []fixed.C15 {
 // combine, MIMO detection.
 func (pl *Pipeline) plan() error {
 	m, cfg := pl.m, &pl.cfg
-	pl.nbuf, pl.part = 1, cfg.Layout
+	pl.nbuf, pl.part = 1, cfg.Layout.partitions(m.Cfg.NumCores())
 	if cfg.Layout.Pipelined() {
 		pl.nbuf = 2
-	} else {
-		all := coreRange(0, m.Cfg.NumCores())
-		pl.part = Layout{FFT: all, BF: all, CHE: all, NE: all, MIMO: all}
 	}
 	lay := &pl.part
-	batch, err := cfg.fftBatchOn(len(lay.FFT))
+	batch, err := cfg.fftBatchOn(len(lay.fft))
 	if err != nil {
 		return err
 	}
 	pl.batch = batch
 	pl.fftPlans = make([]*fft.Plan, pl.nbuf)
 	for b := range pl.fftPlans {
-		if pl.fftPlans[b], err = fft.NewPlanOn(m, lay.FFT, cfg.NSC, cfg.NR, batch, fft.Folded); err != nil {
+		if pl.fftPlans[b], err = fft.NewPlanOn(m, lay.fft, cfg.NSC, cfg.NR, batch, fft.Folded); err != nil {
 			return err
 		}
 	}
@@ -152,7 +148,7 @@ func (pl *Pipeline) plan() error {
 	pl.bfPlans = make([]*mmm.Plan, pl.nbuf)
 	for b := range pl.bfPlans {
 		out := pl.fftPlans[b].OutBase(0)
-		pl.bfPlans[b], err = mmm.NewPlanOn(m, lay.BF, cfg.NSC, cfg.NR, cfg.NB, mmm.Options{
+		pl.bfPlans[b], err = mmm.NewPlanOn(m, lay.bf, cfg.NSC, cfg.NR, cfg.NB, mmm.Options{
 			AExternal:   &out,
 			ATransposed: true,
 			ZeroShift:   true,
@@ -168,7 +164,7 @@ func (pl *Pipeline) plan() error {
 	pl.chestPlans = make([]*chest.Plan, cfg.NPilot)
 	for i := range pl.chestPlans {
 		beam := pl.bfPlans[i%pl.nbuf].CBase()
-		p, err := chest.NewPlanOn(m, lay.CHE, cfg.NSC, cfg.NB, cfg.NL, &beam)
+		p, err := chest.NewPlanOn(m, lay.che, cfg.NSC, cfg.NB, cfg.NL, &beam)
 		if err != nil {
 			return err
 		}
@@ -177,13 +173,13 @@ func (pl *Pipeline) plan() error {
 		}
 		pl.chestPlans[i] = p
 	}
-	if pl.comb, err = newCombinePlan(m, pl.chestPlans[0], pl.chestPlans[1], lay.NE); err != nil {
+	if pl.comb, err = newCombinePlan(m, pl.chestPlans[0], pl.chestPlans[1], lay.ne); err != nil {
 		return err
 	}
 	pl.mimoPlans = make([]*mimo.Plan, pl.nbuf)
 	for b := range pl.mimoPlans {
 		beam := pl.bfPlans[b].CBase()
-		pl.mimoPlans[b], err = mimo.NewPlanOn(m, lay.MIMO, cfg.NSC, cfg.NB, cfg.NL,
+		pl.mimoPlans[b], err = mimo.NewPlanOn(m, lay.mimo, cfg.NSC, cfg.NB, cfg.NL,
 			pl.comb.HAddr, pl.comb.SigmaAddr(), &beam)
 		if err != nil {
 			return err
@@ -206,19 +202,19 @@ func (pl *Pipeline) plan() error {
 	for _, p := range pl.chestPlans {
 		cheJobs = append(cheJobs, p.JobsList()...)
 	}
-	pl.meas = Layout{
-		FFT:  jobCores(fftJobs...),
-		BF:   jobCores(bfJobs...),
-		CHE:  jobCores(cheJobs...),
-		NE:   jobCores(pl.comb.Job()),
-		MIMO: jobCores(mimoJobs...),
+	pl.meas = stageCores{
+		fft:  jobCores(fftJobs...),
+		bf:   jobCores(bfJobs...),
+		che:  jobCores(cheJobs...),
+		ne:   jobCores(pl.comb.Job()),
+		mimo: jobCores(mimoJobs...),
 	}
-	pl.live = union(pl.meas.FFT, pl.meas.BF, pl.meas.CHE, pl.meas.NE, pl.meas.MIMO)
+	pl.live = union(pl.meas.fft, pl.meas.bf, pl.meas.che, pl.meas.ne, pl.meas.mimo)
 	return nil
 }
 
 // jobCores returns the sorted union of the jobs' cores.
-func jobCores(jobs ...engine.Job) CoreSet {
+func jobCores(jobs ...engine.Job) []int {
 	sets := make([][]int, len(jobs))
 	for i, j := range jobs {
 		sets[i] = j.Cores
@@ -227,8 +223,8 @@ func jobCores(jobs ...engine.Job) CoreSet {
 }
 
 // union returns the sorted union of core sets.
-func union(sets ...[]int) CoreSet {
-	var u CoreSet
+func union(sets ...[]int) []int {
+	var u []int
 	for _, set := range sets {
 		u = append(u, set...)
 	}
@@ -381,27 +377,26 @@ func (pl *Pipeline) beat(sFFT, sBF, sDet int) error {
 	}
 	pl.sync()
 	if doFFT {
-		pl.finFFT[sFFT] = pl.accumulate(StageOFDM, mark, "fft", lay.FFT, pl.meas.FFT, sFFT)
+		pl.finFFT[sFFT] = pl.accumulate(StageOFDM, mark, "fft", lay.fft, pl.meas.fft, sFFT)
 	}
 	if doBF {
-		pl.finBF[sBF] = pl.accumulate(StageBF, mark, "bf", lay.BF, pl.meas.BF, sBF)
+		pl.finBF[sBF] = pl.accumulate(StageBF, mark, "bf", lay.bf, pl.meas.bf, sBF)
 	}
 	switch {
 	case !doDet:
 		return nil
 	case sDet >= cfg.NPilot:
-		pl.finDet[sDet] = pl.accumulate(StageMIMO, mark, "mimo", lay.MIMO, pl.meas.MIMO, sDet)
+		pl.finDet[sDet] = pl.accumulate(StageMIMO, mark, "mimo", lay.mimo, pl.meas.mimo, sDet)
 		pl.detected = append(pl.detected, pl.mimoPlans[sDet%pl.nbuf].ReadX()...)
 		return nil
 	}
-	pl.finDet[sDet] = pl.accumulate(StageCHE, mark, "chest", lay.CHE, pl.meas.CHE, sDet)
+	pl.finDet[sDet] = pl.accumulate(StageCHE, mark, "chest", lay.che, pl.meas.che, sDet)
 	if sDet < cfg.NPilot-1 {
 		return nil
 	}
-	// Noise combine: needs both pilot estimates. On a layout where NE
-	// shares the detection partition this serializes behind the chest
-	// task by clock continuity; on a dedicated NE partition the
-	// NotBefore handshake carries the dependency.
+	// Noise combine: needs both pilot estimates. It shares the
+	// detection partition, so it serializes behind the chest task by
+	// clock continuity; the NotBefore handshake states the dependency.
 	mark = pl.m.Mark()
 	j := pl.comb.Job()
 	j.NotBefore = max(pl.finDet[0], pl.finDet[cfg.NPilot-1])
@@ -409,7 +404,7 @@ func (pl *Pipeline) beat(sFFT, sBF, sDet int) error {
 		return err
 	}
 	pl.sync()
-	pl.finNE = pl.accumulate(StageNE, mark, "combine", lay.NE, pl.meas.NE, sDet)
+	pl.finNE = pl.accumulate(StageNE, mark, "combine", lay.ne, pl.meas.ne, sDet)
 	return nil
 }
 

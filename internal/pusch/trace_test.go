@@ -127,8 +127,7 @@ func TestPipelinedTraceTracks(t *testing.T) {
 	}
 	// The FFT partition must appear under its own track, distinct from
 	// the whole cluster.
-	fft := cfg.Layout.FFT
-	if byTrack[obs.CoreTrack(fft[0], fft[len(fft)-1])] == 0 {
+	if byTrack[obs.CoreTrack(0, cfg.Layout.F-1)] == 0 {
 		t.Errorf("no spans on the FFT partition track; tracks = %v", byTrack)
 	}
 }

@@ -120,7 +120,7 @@ func TestPoisonedCacheEntry(t *testing.T) {
 }
 
 // TestCacheKeyCoordinates: coordinates that change timing or payload
-// must change the key; the non-canonical layout must refuse a key.
+// must change the key.
 func TestCacheKeyCoordinates(t *testing.T) {
 	base := pusch.ChainConfig{
 		Cluster: arch.MemPool(),

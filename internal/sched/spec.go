@@ -179,18 +179,14 @@ func (sp Spec) job(defaults pusch.ChainConfig, parseCluster func(string) (*arch.
 	} else if sp.Cluster != "" && cfg.Layout.Pipelined() {
 		// The inherited default layout was resolved against the server's
 		// default cluster; a spec that swaps the cluster without pinning a
-		// layout re-resolves the default's canonical split against its own
-		// cluster so partition ids stay in range. A split the new cluster
-		// cannot host (e.g. a TeraPool default served on MemPool) falls
-		// back to the job cluster's stock pipelined split: the operator
-		// asked for pipelined service, and the stock split is what "pipe"
-		// would have resolved to there.
-		if w, err := cfg.Layout.Wire(); err == nil {
-			lay, err := pusch.ParseLayout(w, cfg.Cluster)
-			if err != nil {
-				lay = pusch.StockPipelined(cfg.Cluster)
-			}
-			cfg.Layout = lay
+		// layout re-checks the default's split against its own cluster. A
+		// split the new cluster cannot host (e.g. a TeraPool default
+		// served on MemPool) falls back to the job cluster's stock
+		// pipelined split: the operator asked for pipelined service, and
+		// the stock split is what "pipe" would have resolved to there.
+		l := cfg.Layout
+		if _, err := pusch.PipelinedSplit(cfg.Cluster, l.F, l.B, l.D); err != nil {
+			cfg.Layout = pusch.StockPipelined(cfg.Cluster)
 		}
 	}
 	return Job{Name: sp.Name, Arrival: sp.Arrival, Chain: cfg}, nil
@@ -244,11 +240,7 @@ func JobSpec(j Job) (Spec, error) {
 		sp.ChannelTimeMs = ch.TimeMs
 	}
 	if j.Chain.Layout.Pipelined() {
-		w, err := j.Chain.Layout.Wire()
-		if err != nil {
-			return Spec{}, err
-		}
-		sp.Layout = w
+		sp.Layout = j.Chain.Layout.String()
 	}
 	if j.Chain.Timing != pusch.TimingCycleAccurate {
 		sp.Timing = string(j.Chain.Timing)

@@ -36,17 +36,16 @@ type (
 	// SlotRecord is the typed telemetry record of one slot-level run.
 	SlotRecord = report.SlotRecord
 	// Layout maps the chain stages onto core partitions: the spatial-
-	// pipelining axis. The zero value is the sequential layout.
+	// pipelining axis, as F/B/D core counts. The zero value is the
+	// sequential layout.
 	Layout = pusch.Layout
-	// CoreSet is an explicit, ordered set of simulator core ids.
-	CoreSet = pusch.CoreSet
 )
 
 // Sequential is the zero-value layout: every stage on all cores, one
 // symbol at a time, cycle-identical to the pre-layout chain.
 var Sequential = pusch.Sequential
 
-// PipelinedSplit builds the canonical three-way pipelined layout: f
+// PipelinedSplit builds the three-way pipelined layout: f
 // cores to the FFT, b to beamforming, d to the shared detection
 // partition (channel estimation, noise combine, MIMO).
 func PipelinedSplit(cluster *arch.Config, f, b, d int) (Layout, error) {

@@ -52,8 +52,6 @@ type (
 	// ChainLayout maps the PUSCH chain's stages onto core partitions
 	// (spatial pipelining); the zero value is the sequential layout.
 	ChainLayout = pusch.Layout
-	// CoreSet is an explicit, ordered set of simulator core ids.
-	CoreSet = pusch.CoreSet
 )
 
 // SequentialLayout is the zero-value chain layout: every stage on all
@@ -61,8 +59,8 @@ type (
 var SequentialLayout = pusch.Sequential
 
 // StockPipelinedLayout returns the stock partitioned chain layout for a
-// cluster (a quarter of the cores to the FFT, an eighth to beamforming,
-// a quarter to detection).
+// cluster (half the cores to the FFT, a quarter to beamforming, a
+// quarter to detection).
 func StockPipelinedLayout(cluster *Config) ChainLayout {
 	return pusch.StockPipelined(cluster)
 }
