@@ -355,6 +355,51 @@ func TestCellSpecParsing(t *testing.T) {
 	}
 }
 
+// TestCellLayoutsKeyServingClasses: a cell's layout is part of its
+// serving class. Cells with different splits must each serve their
+// jobs on their own layout, and cells with equal splits must share one
+// class, so every job is measured once. Each pool Get is one engine
+// measurement.
+func TestCellLayoutsKeyServingClasses(t *testing.T) {
+	mp := arch.MemPool()
+	small, err := pusch.PipelinedSplit(mp, 16, 8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	large, err := pusch.PipelinedSplit(mp, 64, 32, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := sched.PoissonTrace(tinyChain(), 4, 2, 7)
+	serve := func(a, b pusch.Layout) ([]sched.JobResult, report.FleetSummary) {
+		f := &Fleet{Cfg: Config{Cells: []Cell{{Layout: a}, {Layout: b}}, Seed: 1, Workers: 1}}
+		return f.Serve(jobs)
+	}
+
+	results, sum := serve(small, large)
+	if got, want := sum.Pool.Gets, int64(2*len(jobs)); got != want {
+		t.Errorf("distinct splits: %d measurements, want %d (one per job and class)", got, want)
+	}
+	cycles := map[string]int64{}
+	for _, r := range results {
+		if r.Outcome != sched.Served {
+			t.Fatalf("job %d: %s %s", r.Job, r.Outcome, r.Error)
+		}
+		want := []pusch.Layout{small, large}[r.Cell].String()
+		if got := r.Record.Layout; got != want {
+			t.Errorf("job %d on cell %d served with layout %q, want %q", r.Job, r.Cell, got, want)
+		}
+		cycles[r.Record.Layout] = r.Record.TotalCycles
+	}
+	if len(cycles) != 2 || cycles[small.String()] == cycles[large.String()] {
+		t.Errorf("distinct splits must serve distinct cycles, got %v", cycles)
+	}
+
+	if _, sum := serve(large, large); sum.Pool.Gets != int64(len(jobs)) {
+		t.Errorf("equal splits: %d measurements, want %d (one shared class)", sum.Pool.Gets, len(jobs))
+	}
+}
+
 func TestParsePolicy(t *testing.T) {
 	for name, want := range map[string]Policy{
 		"":            RoundRobin,
