@@ -84,6 +84,24 @@ type Plan struct {
 // occupies in its 4 banks for one batch entry (4 butterflies = 4 rows).
 const rowsPerButterflySet = 4
 
+// Batch returns how many of count independent n-point FFTs each lane
+// set runs between barriers so that all of them fit on a set of cores:
+// one FFT occupies n/16 lanes, the set hosts cores/(n/16) lane sets,
+// and the FFTs run in rounds sized to divide count evenly. It is the
+// batch NewPlanOn needs to place count FFTs on that core set.
+func Batch(n, count, cores int) (int, error) {
+	lanes := n / 16
+	if lanes == 0 || cores < lanes {
+		return 0, fmt.Errorf("fft: one %d-point FFT needs %d lanes, core set has %d", n, lanes, cores)
+	}
+	maxJobs := cores / lanes
+	batch := max((count+maxJobs-1)/maxJobs, 1)
+	for count%batch != 0 {
+		batch++
+	}
+	return batch, nil
+}
+
 // NewPlan allocates working memory for count independent n-point FFTs,
 // where each lane set processes batch FFTs between barriers (count must
 // be a multiple of batch). Lane sets use consecutive cores starting at

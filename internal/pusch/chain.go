@@ -182,21 +182,6 @@ func (c *ChainConfig) validate() error {
 	return c.Layout.validate(c.Cluster, c.NSC)
 }
 
-// fftBatchOn chooses how many FFTs share a lane set so all NR
-// transforms fit on a partition of the given size.
-func (c *ChainConfig) fftBatchOn(cores int) (batch int, err error) {
-	lanes := c.NSC / 16
-	maxJobs := cores / lanes
-	if maxJobs == 0 {
-		return 0, fmt.Errorf("pusch: FFT lanes exceed core count")
-	}
-	batch = (c.NR + maxJobs - 1) / maxJobs
-	for c.NR%batch != 0 {
-		batch++
-	}
-	return batch, nil
-}
-
 // RunChain executes the full receive chain on a freshly built machine
 // and reports link quality plus per-stage timing. It composes the three
 // chain stages — SlotTX (transmit side), Pipeline (receive kernels) and

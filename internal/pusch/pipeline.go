@@ -133,7 +133,7 @@ func (pl *Pipeline) plan() error {
 		pl.nbuf = 2
 	}
 	lay := &pl.part
-	batch, err := cfg.fftBatchOn(len(lay.fft))
+	batch, err := fft.Batch(cfg.NSC, cfg.NR, len(lay.fft))
 	if err != nil {
 		return err
 	}

@@ -210,11 +210,9 @@ func RunUseCaseOn(pool *engine.Machines, cfg UseCaseConfig) (*UseCaseResult, err
 			pool.Put(cur)
 		}
 	}()
-	lanes := cfg.NFFT / 16
-	maxJobs := max(cluster.NumCores()/lanes, 1)
-	batch := (cfg.NR + maxJobs - 1) / maxJobs
-	for cfg.NR%batch != 0 {
-		batch++
+	batch, err := fft.Batch(cfg.NFFT, cfg.NR, cluster.NumCores())
+	if err != nil {
+		return nil, fmt.Errorf("pusch: use-case FFT: %w", err)
 	}
 	fftPlan, err := fft.NewPlan(mA, cfg.NFFT, cfg.NR, batch, fft.Folded)
 	if err != nil {

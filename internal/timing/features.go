@@ -1,6 +1,9 @@
 package timing
 
-import "repro/internal/pusch"
+import (
+	"repro/internal/kernels/fft"
+	"repro/internal/pusch"
+)
 
 // The per-repetition feature bases below mirror — in closed form — the
 // work-distribution arithmetic of the kernels' own job planners. They
@@ -10,23 +13,6 @@ import "repro/internal/pusch"
 // lanes <= cores) already hold.
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-// fftBatch mirrors the FFT planner's batching choice: one NSC-point
-// folded radix-4 FFT occupies NSC/16 lanes, the cluster fits
-// cores/(NSC/16) concurrent transforms, and the NR transforms are run
-// in batch rounds sized to divide NR evenly.
-func fftBatch(nsc, nr, cores int) int {
-	lanes := nsc / 16
-	maxJobs := cores / lanes
-	if maxJobs == 0 {
-		return 0
-	}
-	batch := ceilDiv(nr, maxJobs)
-	for nr%batch != 0 {
-		batch++
-	}
-	return batch
-}
 
 // bfMaxWindows mirrors the beamforming MMM's 4x4-window partitioning
 // (kernels/mmm rowBlocks/colBlocks): the NSC x NB output splits into
@@ -100,7 +86,10 @@ func reps(cfg pusch.ChainConfig) [stageCount]float64 {
 //     subcarriers.
 func features(cfg pusch.ChainConfig, cores int) [stageCount]basis {
 	nsc, nr, nb, nl := cfg.NSC, cfg.NR, cfg.NB, cfg.NL
-	batch := float64(fftBatch(nsc, nr, cores))
+	// The FFT planner's batching choice (fft.Batch); 0 when the cluster
+	// cannot host one transform.
+	fftBatch, _ := fft.Batch(nsc, nr, cores)
+	batch := float64(fftBatch)
 	wmax := float64(bfMaxWindows(nsc, nb, cores))
 	spc := float64(ceilDiv(nsc, cores))
 	fnl, fnb, fnr := float64(nl), float64(nb), float64(nr)
