@@ -30,36 +30,25 @@ type Report struct {
 }
 
 // ReportSince measures the window between mark and now over the given
-// cores (nil means every core in the cluster).
+// cores (nil means every core in the cluster): the width of
+// WindowSince, plus the counters the cores retired since mark.
 func (m *Machine) ReportSince(mark Mark, name string, cores []int) Report {
 	if cores == nil {
-		cores = make([]int, m.Cfg.NumCores())
-		for i := range cores {
-			cores[i] = i
-		}
+		cores = m.allCores
 	}
-	var start, end int64
-	start = int64(1)<<62 - 1
+	start, end := m.WindowSince(mark, cores)
 	var s Stats
 	for _, c := range cores {
-		if mark.time[c] < start {
-			start = mark.time[c]
-		}
-		if m.coreTime[c] > end {
-			end = m.coreTime[c]
-		}
 		s.Add(m.coreStats[c].Sub(mark.stats[c]))
-	}
-	if end < start {
-		end = start
 	}
 	return Report{Name: name, Cores: len(cores), Wall: end - start, Stats: s}
 }
 
 // WindowSince returns the absolute window of one measured section over
 // the given cores (nil means every core): the earliest marked core time
-// and the latest current core time. ReportSince reports the same window
-// as a width; span tracing needs the endpoints.
+// and the latest current core time, never ending before it starts.
+// ReportSince reports the same window as a width; span tracing needs the
+// endpoints.
 func (m *Machine) WindowSince(mark Mark, cores []int) (start, end int64) {
 	if cores == nil {
 		cores = m.allCores
