@@ -77,9 +77,9 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 
 	"repro/internal/report"
+	"repro/internal/sched"
 	"repro/pusch"
 	"repro/sim"
 	"repro/waveform"
@@ -147,14 +147,9 @@ func main() {
 		}()
 	}
 
-	var cluster *sim.Config
-	switch *clusterFlag {
-	case "terapool":
-		cluster = sim.TeraPool()
-	case "mempool":
-		cluster = sim.MemPool()
-	default:
-		log.Fatalf("unknown cluster %q", *clusterFlag)
+	cluster, err := sched.ParseCluster(*clusterFlag)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	chSpec, err := channelSpec(*channelFlag, *doppler)
@@ -295,16 +290,9 @@ func campaignBase(cluster *sim.Config, scheme waveform.Scheme, chSpec pusch.Chan
 }
 
 func runCampaign(cluster *sim.Config, mode, schemeName string, chSpec pusch.ChannelSpec, layout pusch.Layout, timing pusch.TimingMode, model *pusch.TimingModel, snrMin, snrMax, snrStep float64, workers int, seed uint64, cache *pusch.ServiceCache, traceProfile string) {
-	var scheme waveform.Scheme
-	switch strings.ToLower(schemeName) {
-	case "qpsk":
-		scheme = waveform.QPSK
-	case "16qam", "qam16":
-		scheme = waveform.QAM16
-	case "64qam", "qam64":
-		scheme = waveform.QAM64
-	default:
-		log.Fatalf("unknown scheme %q", schemeName)
+	scheme, err := sched.ParseScheme(schemeName)
+	if err != nil {
+		log.Fatal(err)
 	}
 	base := campaignBase(cluster, scheme, chSpec, layout)
 	base.Timing = timing
