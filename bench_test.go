@@ -6,8 +6,9 @@
 //	go test -bench=. -benchmem
 //
 // reproduces the entire evaluation in one run. The per-figure mapping is
-// listed in DESIGN.md's experiment index; measured-vs-paper numbers live
-// in EXPERIMENTS.md.
+// the experiment registry in internal/bench (bench.PaperExperiments);
+// the committed kernel baselines (testdata/baseline_kernels.json) and
+// BENCH_*.json documents hold the measured numbers.
 package repro
 
 import (

@@ -86,7 +86,7 @@
 // command-line tools — is docs/ARCHITECTURE.md.
 //
 // The benchmarks in bench_test.go wrap the same experiments as testing.B
-// benchmarks; see EXPERIMENTS.md for measured-versus-paper numbers and
-// README.md for the quickstart, the campaign-mode walkthrough and the
-// perf-telemetry / regression-gate guide.
+// benchmarks; see README.md for the quickstart, the campaign-mode
+// walkthrough and the perf-telemetry / regression-gate guide, and the
+// committed BENCH_*.json documents for measured numbers.
 package repro

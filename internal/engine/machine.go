@@ -71,7 +71,8 @@ type Machine struct {
 
 	// RotatePriority approximates round-robin bank arbitration by
 	// rotating the core replay order every phase (the default fixed
-	// order gives strict core-ID priority; see DESIGN.md section 2).
+	// order gives strict core-ID priority, which coincides with
+	// round-robin under conflict-free data placements; see package tcdm).
 	RotatePriority bool
 	phaseCounter   int
 

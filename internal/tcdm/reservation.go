@@ -6,8 +6,9 @@
 // Each bank serves one access per cycle. The engine replays the cores in
 // core-ID order, so reservation implements a fixed-priority arbiter:
 // core i never waits for core j > i. Under the paper's conflict-free data
-// placements this coincides with MemPool's round-robin arbiter (see
-// DESIGN.md, Section 2).
+// placements this coincides with MemPool's round-robin arbiter: a bank
+// that only one core addresses per cycle serves it at once under
+// either policy.
 package tcdm
 
 import "math/bits"
