@@ -62,9 +62,8 @@ func (c *Cell) apply(cfg pusch.ChainConfig) pusch.ChainConfig {
 
 // classKey is the cell's serving-class identity: two cells with equal
 // keys transform every job identically, so their measurements are
-// shared. The cluster part is the timing fingerprint (ArchFingerprint),
-// never the name, so lookalike geometries can't alias; the layout part
-// is its wire form, which is the layout itself.
+// shared. Neither the cluster (keyed by ArchFingerprint, never by name)
+// nor the layout (keyed by its wire form, the whole Layout) can alias.
 func (c *Cell) classKey() string {
 	fp := ""
 	if c.Cluster != nil {

@@ -95,7 +95,7 @@ func Batch(n, count, cores int) (int, error) {
 		return 0, fmt.Errorf("fft: one %d-point FFT needs %d lanes, core set has %d", n, lanes, cores)
 	}
 	maxJobs := cores / lanes
-	batch := max((count+maxJobs-1)/maxJobs, 1)
+	batch := (count + maxJobs - 1) / maxJobs
 	for count%batch != 0 {
 		batch++
 	}
