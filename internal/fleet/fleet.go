@@ -52,7 +52,8 @@ func (c *Cell) apply(cfg pusch.ChainConfig) pusch.ChainConfig {
 		cfg.Cluster = c.Cluster
 	}
 	if !cfg.Layout.Pipelined() && c.Layout.Pipelined() {
-		cfg.Layout = c.Layout
+		// A job that pins another cluster refits the cell's split to it.
+		cfg.Layout = c.Layout.ForCluster(cfg.Cluster)
 	}
 	if cfg.Timing == pusch.TimingCycleAccurate {
 		cfg.Timing = c.Timing

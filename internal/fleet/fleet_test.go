@@ -481,3 +481,67 @@ func TestHostileArrivalsFail(t *testing.T) {
 		}
 	})
 }
+
+// swapTrace reads a two-job trace whose first job swaps the cluster to
+// MemPool without pinning a layout, over the given defaults.
+func swapTrace(t *testing.T, def pusch.ChainConfig) []sched.Job {
+	t.Helper()
+	trace := `{"arrival_cycle":0,"cluster":"mempool"}` + "\n" + `{"arrival_cycle":100000}` + "\n"
+	jobs, err := sched.ReadJobs(strings.NewReader(trace), def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return jobs
+}
+
+// TestSingleCellFleetRefitsInheritedLayout: a TeraPool cell's pipelined
+// layout, inherited by a job that swaps to MemPool, falls back to
+// MemPool's stock split exactly as Spec.Job does for the scheduler, so
+// the 1-cell fleet serves the trace byte-identically to it.
+func TestSingleCellFleetRefitsInheritedLayout(t *testing.T) {
+	tp := arch.TeraPool()
+	pipe := pusch.StockPipelined(tp)
+	// The scheduler stamps the serving coordinates into every job; the
+	// fleet keeps them on the cell, as puschd does.
+	plainDef, fleetDef := tinyChain(), tinyChain()
+	plainDef.Cluster, plainDef.Layout = tp, pipe
+	fleetDef.Cluster = nil
+
+	var plain, fleet bytes.Buffer
+	s := &sched.Scheduler{Cfg: sched.Config{Seed: 1, Workers: 1}}
+	if _, err := s.WriteJSONL(&plain, swapTrace(t, plainDef)); err != nil {
+		t.Fatal(err)
+	}
+	f := &Fleet{Cfg: Config{Cells: []Cell{{Cluster: tp, Layout: pipe}}, Seed: 1, Workers: 1}}
+	sum, err := f.WriteJSONL(&fleet, swapTrace(t, fleetDef))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Served != 2 {
+		t.Errorf("1-cell fleet served %d of 2 jobs", sum.Served)
+	}
+	if plain.String() != fleet.String() {
+		t.Errorf("1-cell fleet stream differs from scheduler stream:\n--- scheduler\n%s--- fleet\n%s", plain.String(), fleet.String())
+	}
+}
+
+// TestCellSpecRefitsInheritedLayout: a -cell-config cell that swaps
+// only the cluster refits the default cell's pipelined split to its own
+// cluster, and the fleet serves every job.
+func TestCellSpecRefitsInheritedLayout(t *testing.T) {
+	tp := arch.TeraPool()
+	def := Cell{Cluster: tp, Layout: pusch.StockPipelined(tp)}
+	cells, err := ReadCells(strings.NewReader(`[{"name":"a"},{"name":"b","cluster":"mempool"}]`), def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := cells[1].Layout, pusch.StockPipelined(arch.MemPool()); got != want {
+		t.Errorf("cell b layout %s, want %s", got, want)
+	}
+	fleetDef := tinyChain()
+	fleetDef.Cluster = nil
+	f := &Fleet{Cfg: Config{Cells: cells, Seed: 1, Workers: 1}}
+	if _, sum := f.Serve(swapTrace(t, fleetDef)); sum.Served != 2 {
+		t.Errorf("served %d of 2 jobs", sum.Served)
+	}
+}

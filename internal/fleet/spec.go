@@ -52,6 +52,9 @@ func (sp CellSpec) Cell(def Cell) (Cell, error) {
 			return Cell{}, err
 		}
 		c.Layout = layout
+	} else if sp.Cluster != "" {
+		// The default cell's split was resolved against its own cluster.
+		c.Layout = c.Layout.ForCluster(c.Cluster)
 	}
 	if sp.Timing != "" {
 		mode, err := pusch.ParseTimingMode(sp.Timing)

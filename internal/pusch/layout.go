@@ -68,6 +68,25 @@ func StockPipelined(cluster *arch.Config) Layout {
 	return l
 }
 
+// ForCluster returns the layout a job or cell inherits when it swaps
+// to cluster (nil is the measurement default, stock MemPool): l itself
+// when the cluster can host its split, otherwise the cluster's stock
+// pipelined split. The operator asked for pipelined service, and the
+// stock split is what "pipe" resolves to there. Sequential layouts fit
+// every cluster.
+func (l Layout) ForCluster(cluster *arch.Config) Layout {
+	if !l.Pipelined() {
+		return l
+	}
+	if cluster == nil {
+		cluster = arch.MemPool()
+	}
+	if _, err := PipelinedSplit(cluster, l.F, l.B, l.D); err != nil {
+		return StockPipelined(cluster)
+	}
+	return l
+}
+
 // String renders the layout's wire coordinate: "sequential" or
 // "pipe/f<F>/b<B>/d<D>".
 func (l Layout) String() string {

@@ -53,6 +53,29 @@ func TestParseLayoutForms(t *testing.T) {
 	}
 }
 
+// TestLayoutForCluster: an inherited split is kept where it fits and
+// replaced by the cluster's stock split where it does not.
+func TestLayoutForCluster(t *testing.T) {
+	mp, tp := arch.MemPool(), arch.TeraPool()
+	small := Layout{F: 64, B: 32, D: 64}
+	for _, tc := range []struct {
+		name    string
+		l       Layout
+		cluster *arch.Config
+		want    Layout
+	}{
+		{"sequential", Sequential, mp, Sequential},
+		{"fits", small, tp, small},
+		{"nil is MemPool", small, nil, small},
+		{"too large", StockPipelined(tp), mp, StockPipelined(mp)},
+		{"too large for nil", StockPipelined(tp), nil, StockPipelined(mp)},
+	} {
+		if got := tc.l.ForCluster(tc.cluster); got != tc.want {
+			t.Errorf("%s: %s.ForCluster = %s, want %s", tc.name, tc.l, got, tc.want)
+		}
+	}
+}
+
 func TestLayoutValidate(t *testing.T) {
 	mp := arch.MemPool()
 	good, err := PipelinedSplit(mp, 64, 32, 64)

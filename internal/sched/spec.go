@@ -176,18 +176,12 @@ func (sp Spec) job(defaults pusch.ChainConfig, parseCluster func(string) (*arch.
 			return Job{}, err
 		}
 		cfg.Layout = lay
-	} else if sp.Cluster != "" && cfg.Layout.Pipelined() {
+	} else if sp.Cluster != "" {
 		// The inherited default layout was resolved against the server's
 		// default cluster; a spec that swaps the cluster without pinning a
-		// layout re-checks the default's split against its own cluster. A
-		// split the new cluster cannot host (e.g. a TeraPool default
-		// served on MemPool) falls back to the job cluster's stock
-		// pipelined split: the operator asked for pipelined service, and
-		// the stock split is what "pipe" would have resolved to there.
-		l := cfg.Layout
-		if _, err := pusch.PipelinedSplit(cfg.Cluster, l.F, l.B, l.D); err != nil {
-			cfg.Layout = pusch.StockPipelined(cfg.Cluster)
-		}
+		// layout refits it to its own (e.g. a TeraPool default served on
+		// MemPool).
+		cfg.Layout = cfg.Layout.ForCluster(cfg.Cluster)
 	}
 	return Job{Name: sp.Name, Arrival: sp.Arrival, Chain: cfg}, nil
 }
