@@ -109,10 +109,10 @@ func BenchmarkTableI_Complexity(b *testing.B) {
 // E8: Fig. 9c use case on TeraPool (red schedule: 16 decompositions per
 // barrier). One iteration simulates the full per-slot kernel passes.
 func BenchmarkFig9c_UseCase_TeraPool(b *testing.B) {
-	var last *ipusch.UseCaseResult
+	var last *bench.UseCaseResult
 	for i := 0; i < b.N; i++ {
-		cfg := ipusch.DefaultUseCase()
-		res, err := ipusch.RunUseCase(cfg)
+		cfg := bench.DefaultUseCase()
+		res, err := bench.RunUseCase(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -127,11 +127,11 @@ func BenchmarkFig9c_UseCase_TeraPool(b *testing.B) {
 
 // E8 (green schedule): 4 decompositions per barrier, every data symbol.
 func BenchmarkFig9c_UseCaseGreen_TeraPool(b *testing.B) {
-	var last *ipusch.UseCaseResult
+	var last *bench.UseCaseResult
 	for i := 0; i < b.N; i++ {
-		cfg := ipusch.DefaultUseCase()
+		cfg := bench.DefaultUseCase()
 		cfg.CholPerRound = 4
-		res, err := ipusch.RunUseCase(cfg)
+		res, err := bench.RunUseCase(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -155,7 +155,7 @@ func benchWindow(b *testing.B, idx int) {
 	b.Helper()
 	var last *bench.Result
 	for i := 0; i < b.N; i++ {
-		r, err := bench.RunMMMWindow(arch.MemPool(), idx)
+		r, err := bench.RunMMMWindow(arch.MemPool(), bench.PaperMMMConfigs()[0], idx, true)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -24,17 +24,12 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math/rand/v2"
 	"os"
 
 	"repro/internal/arch"
 	"repro/internal/bench"
 	"repro/internal/engine"
-	"repro/internal/fixed"
-	"repro/internal/kernels/chol"
 	"repro/internal/kernels/fft"
-	"repro/internal/kernels/mmm"
-	"repro/internal/phy"
 	"repro/internal/report"
 )
 
@@ -56,23 +51,18 @@ func main() {
 
 	if *ablateFlag != "none" {
 		// Ablations run on the first selected cluster (MemPool when the
-		// flag is "both"), as before the registry refactor.
-		var cfg *arch.Config
-		switch *clusterFlag {
-		case "mempool", "both":
-			cfg = arch.MemPool()
-		case "terapool":
-			cfg = arch.TeraPool()
-		default:
-			log.Fatalf("unknown cluster %q (want mempool, terapool or both)", *clusterFlag)
+		// flag is "both").
+		clusters, err := bench.ParseClusters(*clusterFlag)
+		if err != nil {
+			log.Fatal(err)
 		}
 		switch *ablateFlag {
 		case "window":
-			ablateWindow(cfg)
+			ablateWindow(clusters[0])
 		case "layout":
-			ablateLayout(cfg)
+			ablateLayout(clusters[0])
 		case "cholpipe":
-			ablateCholPipe(cfg)
+			ablateCholPipe(clusters[0])
 		default:
 			log.Fatalf("unknown ablation %q", *ablateFlag)
 		}
@@ -150,65 +140,29 @@ func exitOnErrors(errs []error) {
 // ablateWindow reproduces the Section V-B register-blocking argument:
 // MACs/cycle for 4x4 vs 4x2 vs 2x2 output windows.
 func ablateWindow(cfg *arch.Config) {
-	fmt.Printf("MMM window ablation on %s (256x128x256, all cores)\n", cfg.Name)
-	rng := rand.New(rand.NewPCG(1, 2))
-	for _, w := range []mmm.Window{mmm.Win4x4, mmm.Win4x2, mmm.Win2x2} {
-		m := engine.NewMachine(cfg)
-		pl, err := mmm.NewPlan(m, 256, 128, 256, cfg.NumCores(), mmm.Options{Window: w})
+	mc := bench.PaperMMMConfigs()[1] // 256x128x256
+	fmt.Printf("MMM window ablation on %s (%dx%dx%d, all cores)\n", cfg.Name, mc.M, mc.N, mc.P)
+	for idx := 0; idx < 3; idx++ {
+		r, err := bench.RunMMMWindow(cfg, mc, idx, false)
 		if err != nil {
 			log.Fatal(err)
 		}
-		seed := func(n int) []fixed.C15 {
-			out := make([]fixed.C15, n)
-			for i := range out {
-				out[i] = fixed.Pack(int16(rng.IntN(1<<16)-1<<15), int16(rng.IntN(1<<16)-1<<15))
-			}
-			return out
-		}
-		if err := pl.WriteA(seed(256 * 128)); err != nil {
-			log.Fatal(err)
-		}
-		if err := pl.WriteB(seed(128 * 256)); err != nil {
-			log.Fatal(err)
-		}
-		mark := m.Mark()
-		if err := pl.Run(); err != nil {
-			log.Fatal(err)
-		}
-		rep := m.ReportSince(mark, "mmm", nil)
+		rep := r.Parallel
 		loads := float64(rep.Stats.Loads) / float64(rep.Stats.MACs)
-		fmt.Printf("  %dx%d window: %6.1f MACs/cycle, IPC %.2f, %.2f loads/MAC\n",
-			w.Rows, w.Cols, rep.MACsPerCycle(), rep.IPC(), loads)
+		fmt.Printf("  %s: %6.1f MACs/cycle, IPC %.2f, %.2f loads/MAC\n",
+			r.Label, rep.MACsPerCycle(), rep.IPC(), loads)
 	}
 }
 
 // ablateCholPipe measures the software-pipelined pair schedule for the
-// replicated 4x4 Cholesky: interleaving two independent decompositions
-// hides the divide/sqrt latency (the likely mechanism behind the paper's
-// 0.71 IPC for the batched configuration).
+// replicated 4x4 Cholesky against the element-by-element one.
 func ablateCholPipe(cfg *arch.Config) {
 	fmt.Printf("Replicated 4x4 Cholesky pipelining ablation on %s (16 per barrier)\n", cfg.Name)
 	for _, pipelined := range []bool{false, true} {
-		m := engine.NewMachine(cfg)
-		pl, err := chol.NewReplicatedPlan(m, 4, cfg.NumCores(), 1, 16)
+		rep, err := bench.RunCholPipe(cfg, pipelined)
 		if err != nil {
 			log.Fatal(err)
 		}
-		pl.Pipelined = pipelined
-		rng := rand.New(rand.NewPCG(9, 9))
-		for lane := 0; lane < len(pl.Cores); lane++ {
-			for rep := 0; rep < 16; rep++ {
-				g := gramian(rng)
-				if err := pl.WriteG(lane, rep, g); err != nil {
-					log.Fatal(err)
-				}
-			}
-		}
-		mark := m.Mark()
-		if err := pl.Run(); err != nil {
-			log.Fatal(err)
-		}
-		rep := m.ReportSince(mark, "chol", pl.Cores)
 		name := "element-by-element"
 		if pipelined {
 			name = "pipelined pairs"
@@ -220,45 +174,20 @@ func ablateCholPipe(cfg *arch.Config) {
 	}
 }
 
-// gramian builds one well-conditioned 4x4 input.
-func gramian(rng *rand.Rand) []fixed.C15 {
-	h := make([]fixed.C15, 8*4)
-	for i := range h {
-		h[i] = fixed.FromComplex(complex((rng.Float64()*2-1)*0.6, (rng.Float64()*2-1)*0.6))
-	}
-	return phy.Gramian(h, 8, 4, 4, fixed.FloatToQ15(0.05))
-}
-
 // ablateLayout reproduces the Section V-A folding argument: the FFT with
 // tile-local folded buffers versus naive interleaved placement.
 func ablateLayout(cfg *arch.Config) {
 	fmt.Printf("FFT layout ablation on %s (4 x 1024-pt FFTs)\n", cfg.Name)
-	rng := rand.New(rand.NewPCG(3, 4))
 	for _, lay := range []fft.Layout{fft.Folded, fft.Interleaved} {
-		m := engine.NewMachine(cfg)
-		pl, err := fft.NewPlan(m, 1024, 4, 1, lay)
+		rep, conflicts, err := bench.RunFFTLayout(cfg, lay)
 		if err != nil {
 			log.Fatal(err)
 		}
-		for j := 0; j < pl.Jobs; j++ {
-			x := make([]fixed.C15, 1024)
-			for i := range x {
-				x[i] = fixed.Pack(int16(rng.IntN(1<<16)-1<<15), int16(rng.IntN(1<<16)-1<<15))
-			}
-			if err := pl.WriteInput(j, 0, x); err != nil {
-				log.Fatal(err)
-			}
-		}
-		mark := m.Mark()
-		if err := pl.Run(); err != nil {
-			log.Fatal(err)
-		}
-		rep := m.ReportSince(mark, "fft", nil)
 		name := "folded"
 		if lay == fft.Interleaved {
 			name = "interleaved"
 		}
 		fmt.Printf("  %-12s %8d cycles, IPC %.2f, mem stalls %4.1f%%, bank conflicts %d\n",
-			name, rep.Wall, rep.IPC(), rep.MemStallFraction()*100, m.Mem.Res.ConflictCycles())
+			name, rep.Wall, rep.IPC(), rep.MemStallFraction()*100, conflicts)
 	}
 }

@@ -217,12 +217,6 @@ func main() {
 	cfg.CholPerRound = *cholBatch
 	cfg.WithSerial = *withSerial
 	cfg.FullMIMO = *fullMIMO
-	if cluster.Name == "MemPool" {
-		// The full-scale working set exceeds MemPool's physical 1 MiB;
-		// deepen the banks (timing structure is unaffected) the way the
-		// paper's DMA double-buffering would stream it.
-		cfg.DeepBanks = 8
-	}
 	res, err := pusch.RunUseCase(cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -340,11 +334,6 @@ func runCampaign(cluster *sim.Config, mode, schemeName string, chSpec pusch.Chan
 	case "chol":
 		uc := pusch.DefaultUseCase()
 		uc.Cluster = cluster
-		if cluster.Name == "MemPool" {
-			// Same capacity extension the default mode applies: the
-			// full-scale working set exceeds MemPool's physical 1 MiB.
-			uc.DeepBanks = 8
-		}
 		scenarios = pusch.CholScheduleSweep(uc, []int{1, 2, 4, 8, 16})
 	default:
 		log.Fatalf("unknown campaign %q (want snr, schemes, clusters, chol, profiles, link, layouts or fleet)", mode)

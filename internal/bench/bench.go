@@ -1,8 +1,9 @@
 // Package bench contains the experiment runners that regenerate the
 // paper's evaluation figures: per-kernel IPC and stall breakdowns
 // (Fig. 8), speedups and cycle counts against a serial single-core
-// baseline (Fig. 9a-b), and the supporting ablations. cmd/kernelbench
-// and the repository's testing.B benchmarks both drive this package.
+// baseline (Fig. 9a-b), the Fig. 9c use-case slot budget, and the
+// supporting ablations. cmd/kernelbench, cmd/puschsim, the campaign
+// engine and the repository's testing.B benchmarks drive this package.
 package bench
 
 import (
@@ -79,20 +80,26 @@ func deepen(cfg *arch.Config, need int) *arch.Config {
 	return &c
 }
 
-// measureWarm runs fn twice and reports the warm second pass over the
-// given cores (nil = the whole cluster; serial baselines pass core0 so
-// idle cores do not dilute the wall window or the stall totals).
+// measureCold reports one pass of fn over the given cores (nil = the
+// whole cluster; serial baselines pass core0 so idle cores do not
+// dilute the wall window or the stall totals).
+func measureCold(m *engine.Machine, name string, cores []int, fn func() error) (engine.Report, error) {
+	mark := m.Mark()
+	if err := fn(); err != nil {
+		return engine.Report{}, err
+	}
+	return m.ReportSince(mark, name, cores), nil
+}
+
+// measureWarm runs fn once, synchronizes the cluster and reports the
+// second pass, so the one-time instruction-cache refills do not
+// pollute the figure.
 func measureWarm(m *engine.Machine, name string, cores []int, fn func() error) (engine.Report, error) {
 	if err := fn(); err != nil {
 		return engine.Report{}, err
 	}
 	m.ClusterBarrier()
-	mark := m.Mark()
-	if err := fn(); err != nil {
-		return engine.Report{}, err
-	}
-	rep := m.ReportSince(mark, name, cores)
-	return rep, nil
+	return measureCold(m, name, cores, fn)
 }
 
 // core0 scopes a serial-baseline measurement to the core actually
@@ -100,12 +107,127 @@ func measureWarm(m *engine.Machine, name string, cores []int, fn func() error) (
 // stall totals include every idle core, which skews serial IPC.
 var core0 = []int{0}
 
+// randC15 draws n packed random samples: timing filler, since data
+// values never influence the cycle model, only addresses do.
 func randC15(rng *rand.Rand, n int) []fixed.C15 {
 	out := make([]fixed.C15, n)
 	for i := range out {
 		out[i] = fixed.Pack(int16(rng.IntN(1<<16)-1<<15), int16(rng.IntN(1<<16)-1<<15))
 	}
 	return out
+}
+
+// randGramian builds a well-conditioned packed n x n Gramian.
+func randGramian(rng *rand.Rand, n int) []fixed.C15 {
+	nb := 2 * n
+	h := make([]fixed.C15, nb*n)
+	for i := range h {
+		h[i] = fixed.Pack(
+			int16(float64(rng.IntN(1<<16)-1<<15)*0.6),
+			int16(float64(rng.IntN(1<<16)-1<<15)*0.6),
+		)
+	}
+	shift := uint(1)
+	for 1<<shift < nb {
+		shift++
+	}
+	return phy.Gramian(h, nb, n, shift+1, fixed.FloatToQ15(0.05))
+}
+
+// newFFT plans count n-point FFTs on every core, batch per lane set
+// between barriers, with random inputs.
+func newFFT(m *engine.Machine, rng *rand.Rand, n, count, batch int, lay fft.Layout) (*fft.Plan, error) {
+	pl, err := fft.NewPlan(m, n, count, batch, lay)
+	if err != nil {
+		return nil, err
+	}
+	for j := 0; j < pl.Jobs; j++ {
+		for b := 0; b < pl.Batch; b++ {
+			if err := pl.WriteInput(j, b, randC15(rng, n)); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return pl, nil
+}
+
+// newMMM plans the mc product on the first cores cores with inputs a
+// and b.
+func newMMM(m *engine.Machine, mc MMMConfig, cores int, opt mmm.Options, a, b []fixed.C15) (*mmm.Plan, error) {
+	pl, err := mmm.NewPlan(m, mc.M, mc.N, mc.P, cores, opt)
+	if err != nil {
+		return nil, err
+	}
+	if err := pl.WriteA(a); err != nil {
+		return nil, err
+	}
+	if err := pl.WriteB(b); err != nil {
+		return nil, err
+	}
+	return pl, nil
+}
+
+// newReplicatedChol plans n x n Cholesky decompositions replicated on
+// every core, perRound per core between barriers, with random Gramians.
+func newReplicatedChol(m *engine.Machine, rng *rand.Rand, n, perRound int) (*chol.ReplicatedPlan, error) {
+	cores := m.Cfg.NumCores()
+	pl, err := chol.NewReplicatedPlan(m, n, cores, 1, perRound)
+	if err != nil {
+		return nil, err
+	}
+	for lane := 0; lane < cores; lane++ {
+		for rep := 0; rep < perRound; rep++ {
+			if err := pl.WriteG(lane, rep, randGramian(rng, n)); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return pl, nil
+}
+
+// serialFFT times one n-point transform on core 0 (warm): the serial
+// FFT baseline, scaled by the caller to its transform count.
+func serialFFT(m *engine.Machine, rng *rand.Rand, n int) (engine.Report, error) {
+	pl, err := fft.NewSerialPlan(m, 0, n, 1)
+	if err != nil {
+		return engine.Report{}, err
+	}
+	if err := pl.WriteInput(randC15(rng, n)); err != nil {
+		return engine.Report{}, err
+	}
+	return measureWarm(m, "fft-serial", core0, pl.Run)
+}
+
+// serialMMM times the mc product on core 0: the serial MMM baseline.
+// The pass is long (tens of millions of instructions for the paper's
+// shapes), so a cold pass differs from a warm one only by the
+// negligible instruction-cache refill; warm picks the second.
+func serialMMM(m *engine.Machine, mc MMMConfig, a, b []fixed.C15, warm bool) (engine.Report, error) {
+	pl, err := newMMM(m, mc, 1, mmm.Options{}, a, b)
+	if err != nil {
+		return engine.Report{}, err
+	}
+	measure := measureCold
+	if warm {
+		measure = measureWarm
+	}
+	return measure(m, "mmm-serial", core0, pl.Run)
+}
+
+// serialChol times a batch of decs n x n decompositions on core 0
+// (warm): the serial Cholesky baseline, scaled by the caller to its
+// decomposition count.
+func serialChol(m *engine.Machine, rng *rand.Rand, n, decs int) (engine.Report, error) {
+	pl, err := chol.NewSerialPlan(m, 0, n, decs)
+	if err != nil {
+		return engine.Report{}, err
+	}
+	for rep := 0; rep < decs; rep++ {
+		if err := pl.WriteG(rep, randGramian(rng, n)); err != nil {
+			return engine.Report{}, err
+		}
+	}
+	return measureWarm(m, "chol-serial", core0, pl.Run)
 }
 
 // FFTConfig names one Fig. 8a / Fig. 9 FFT experiment.
@@ -136,31 +258,15 @@ func RunFFT(cfg *arch.Config, fc FFTConfig) (*Result, error) {
 	// twiddles in the sequential arena.
 	need := fc.Count*fc.N + 3*fc.N/4 + fc.N
 	mach := engine.NewMachine(deepen(cfg, need*2))
-	pl, err := fft.NewPlan(mach, fc.N, fc.Count, fc.Batch, fft.Folded)
+	pl, err := newFFT(mach, rng, fc.N, fc.Count, fc.Batch, fft.Folded)
 	if err != nil {
 		return nil, err
-	}
-	for j := 0; j < pl.Jobs; j++ {
-		for b := 0; b < pl.Batch; b++ {
-			if err := pl.WriteInput(j, b, randC15(rng, fc.N)); err != nil {
-				return nil, err
-			}
-		}
 	}
 	par, err := measureWarm(mach, "fft", nil, pl.Run)
 	if err != nil {
 		return nil, err
 	}
-
-	ms := engine.NewMachine(cfg)
-	sp, err := fft.NewSerialPlan(ms, 0, fc.N, 1)
-	if err != nil {
-		return nil, err
-	}
-	if err := sp.WriteInput(randC15(rng, fc.N)); err != nil {
-		return nil, err
-	}
-	ser, err := measureWarm(ms, "fft-serial", core0, sp.Run)
+	ser, err := serialFFT(engine.NewMachine(cfg), rng, fc.N)
 	if err != nil {
 		return nil, err
 	}
@@ -191,48 +297,27 @@ func PaperMMMConfigs() []MMMConfig {
 }
 
 // RunMMM measures one MMM configuration on the whole cluster plus the
-// serial baseline.
+// serial baseline (one cold pass).
 func RunMMM(cfg *arch.Config, mc MMMConfig) (*Result, error) {
 	rng := rand.New(rand.NewPCG(uint64(mc.M), uint64(mc.P)))
 	need := 2 * (mc.M*mc.N + mc.N*mc.P + mc.M*mc.P)
 	cluster := deepen(cfg, need)
 
 	mach := engine.NewMachine(cluster)
-	pl, err := mmm.NewPlan(mach, mc.M, mc.N, mc.P, cluster.NumCores(), mmm.Options{})
-	if err != nil {
-		return nil, err
-	}
 	a := randC15(rng, mc.M*mc.N)
 	b := randC15(rng, mc.N*mc.P)
-	if err := pl.WriteA(a); err != nil {
-		return nil, err
-	}
-	if err := pl.WriteB(b); err != nil {
+	pl, err := newMMM(mach, mc, cluster.NumCores(), mmm.Options{}, a, b)
+	if err != nil {
 		return nil, err
 	}
 	par, err := measureWarm(mach, "mmm", nil, pl.Run)
 	if err != nil {
 		return nil, err
 	}
-
-	ms := engine.NewMachine(cluster)
-	sp, err := mmm.NewPlan(ms, mc.M, mc.N, mc.P, 1, mmm.Options{})
+	ser, err := serialMMM(engine.NewMachine(cluster), mc, a, b, false)
 	if err != nil {
 		return nil, err
 	}
-	if err := sp.WriteA(a); err != nil {
-		return nil, err
-	}
-	if err := sp.WriteB(b); err != nil {
-		return nil, err
-	}
-	// The serial pass is expensive (tens of millions of instructions);
-	// one cold pass suffices since the icache refill is negligible.
-	mark := ms.Mark()
-	if err := sp.Run(); err != nil {
-		return nil, err
-	}
-	ser := ms.ReportSince(mark, "mmm-serial", core0)
 	return &Result{
 		Label:      mc.Label,
 		Kernel:     "mmm",
@@ -262,23 +347,6 @@ func PaperCholConfigs(cfg *arch.Config) []CholConfig {
 	}
 }
 
-// testGramian builds a well-conditioned packed Gramian.
-func testGramian(rng *rand.Rand, n int) []fixed.C15 {
-	nb := 2 * n
-	h := make([]fixed.C15, nb*n)
-	for i := range h {
-		h[i] = fixed.Pack(
-			int16(float64(rng.IntN(1<<16)-1<<15)*0.6),
-			int16(float64(rng.IntN(1<<16)-1<<15)*0.6),
-		)
-	}
-	shift := uint(1)
-	for 1<<shift < nb {
-		shift++
-	}
-	return phy.Gramian(h, nb, n, shift+1, fixed.FloatToQ15(0.05))
-}
-
 // RunChol measures one Cholesky configuration.
 func RunChol(cfg *arch.Config, cc CholConfig) (*Result, error) {
 	rng := rand.New(rand.NewPCG(uint64(cc.Size), uint64(cc.PerRound+cc.Pairs)))
@@ -294,7 +362,7 @@ func RunChol(cfg *arch.Config, cc CholConfig) (*Result, error) {
 		}
 		for pr := 0; pr < cc.Pairs; pr++ {
 			for q := 0; q < 2; q++ {
-				if err := pl.WriteG(pr, q, testGramian(rng, cc.Size)); err != nil {
+				if err := pl.WriteG(pr, q, randGramian(rng, cc.Size)); err != nil {
 					return nil, err
 				}
 			}
@@ -309,16 +377,9 @@ func RunChol(cfg *arch.Config, cc CholConfig) (*Result, error) {
 		cores := cfg.NumCores()
 		need := 2 * cores * cc.PerRound * cc.Size * cc.Size
 		mach := engine.NewMachine(deepen(cfg, need))
-		pl, err := chol.NewReplicatedPlan(mach, cc.Size, cores, 1, cc.PerRound)
+		pl, err := newReplicatedChol(mach, rng, cc.Size, cc.PerRound)
 		if err != nil {
 			return nil, err
-		}
-		for lane := 0; lane < cores; lane++ {
-			for rep := 0; rep < cc.PerRound; rep++ {
-				if err := pl.WriteG(lane, rep, testGramian(rng, cc.Size)); err != nil {
-					return nil, err
-				}
-			}
 		}
 		par, err = measureWarm(mach, "chol-rep", nil, pl.Run)
 		if err != nil {
@@ -331,17 +392,7 @@ func RunChol(cfg *arch.Config, cc CholConfig) (*Result, error) {
 	// Serial baseline: a small batch, scaled to the total decomposition
 	// count.
 	const serialBatch = 8
-	ms := engine.NewMachine(cfg)
-	sp, err := chol.NewSerialPlan(ms, 0, cc.Size, serialBatch)
-	if err != nil {
-		return nil, err
-	}
-	for rep := 0; rep < serialBatch; rep++ {
-		if err := sp.WriteG(rep, testGramian(rng, cc.Size)); err != nil {
-			return nil, err
-		}
-	}
-	ser, err := measureWarm(ms, "chol-serial", core0, sp.Run)
+	ser, err := serialChol(engine.NewMachine(cfg), rng, cc.Size, serialBatch)
 	if err != nil {
 		return nil, err
 	}
@@ -353,42 +404,5 @@ func RunChol(cfg *arch.Config, cc CholConfig) (*Result, error) {
 		Parallel:   par,
 		SerialWall: ser.Wall * int64(totalDecs) / serialBatch,
 		SerialIPC:  ser.IPC(),
-	}, nil
-}
-
-// RunMMMWindow measures the Section V-B register-blocking ablation: the
-// 128x128x128 product with output window idx 0 (4x4), 1 (4x2) or 2 (2x2),
-// against the same serial baseline shape.
-func RunMMMWindow(cfg *arch.Config, idx int) (*Result, error) {
-	windows := []mmm.Window{mmm.Win4x4, mmm.Win4x2, mmm.Win2x2}
-	if idx < 0 || idx >= len(windows) {
-		return nil, fmt.Errorf("bench: window index %d out of range", idx)
-	}
-	w := windows[idx]
-	rng := rand.New(rand.NewPCG(77, uint64(idx)))
-	const m, n, p = 128, 128, 128
-	mach := engine.NewMachine(cfg)
-	pl, err := mmm.NewPlan(mach, m, n, p, cfg.NumCores(), mmm.Options{Window: w})
-	if err != nil {
-		return nil, err
-	}
-	if err := pl.WriteA(randC15(rng, m*n)); err != nil {
-		return nil, err
-	}
-	if err := pl.WriteB(randC15(rng, n*p)); err != nil {
-		return nil, err
-	}
-	par, err := measureWarm(mach, "mmm-window", nil, pl.Run)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Label:      fmt.Sprintf("%dx%d window", w.Rows, w.Cols),
-		Kernel:     "mmm",
-		Cluster:    cfg.Name,
-		CoresUsed:  cfg.NumCores(),
-		Parallel:   par,
-		SerialWall: par.Wall, // ablation compares parallel variants only
-		SerialIPC:  0,
 	}, nil
 }

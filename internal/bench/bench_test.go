@@ -125,7 +125,7 @@ func TestRunMMMWindowOrdering(t *testing.T) {
 	// per cycle.
 	rates := make([]float64, 3)
 	for i := range rates {
-		r, err := RunMMMWindow(arch.MemPool(), i)
+		r, err := RunMMMWindow(arch.MemPool(), PaperMMMConfigs()[0], i, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +134,7 @@ func TestRunMMMWindowOrdering(t *testing.T) {
 	if !(rates[0] > rates[1] && rates[1] > rates[2]) {
 		t.Errorf("window MACs/cycle ordering violated: %v", rates)
 	}
-	if _, err := RunMMMWindow(arch.MemPool(), 9); err == nil {
+	if _, err := RunMMMWindow(arch.MemPool(), PaperMMMConfigs()[0], 9, true); err == nil {
 		t.Error("bad window index accepted")
 	}
 }

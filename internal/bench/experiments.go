@@ -96,22 +96,29 @@ func ScalingExperiments() []Experiment {
 	return out
 }
 
+// ParseClusters resolves a cluster selection: "mempool", "terapool" or
+// "both" (MemPool first).
+func ParseClusters(name string) ([]*arch.Config, error) {
+	switch name {
+	case "mempool":
+		return []*arch.Config{arch.MemPool()}, nil
+	case "terapool":
+		return []*arch.Config{arch.TeraPool()}, nil
+	case "both":
+		return []*arch.Config{arch.MemPool(), arch.TeraPool()}, nil
+	}
+	return nil, fmt.Errorf("bench: unknown cluster %q (want mempool, terapool or both)", name)
+}
+
 // Experiments assembles the selected experiment set. cluster selects
-// "mempool", "terapool" or "both"; kernel selects "fft", "mmm", "chol",
-// "scaling" or "all" (scaling points ignore the cluster filter: the
-// curve spans both geometries). quickOnly keeps only the quick-gate
+// the clusters as ParseClusters does; kernel selects "fft", "mmm",
+// "chol", "scaling" or "all" (scaling points ignore the cluster filter:
+// the curve spans both geometries). quickOnly keeps only the quick-gate
 // subset.
 func Experiments(cluster, kernel string, quickOnly bool) ([]Experiment, error) {
-	var clusters []*arch.Config
-	switch cluster {
-	case "mempool":
-		clusters = []*arch.Config{arch.MemPool()}
-	case "terapool":
-		clusters = []*arch.Config{arch.TeraPool()}
-	case "both":
-		clusters = []*arch.Config{arch.MemPool(), arch.TeraPool()}
-	default:
-		return nil, fmt.Errorf("bench: unknown cluster %q (want mempool, terapool or both)", cluster)
+	clusters, err := ParseClusters(cluster)
+	if err != nil {
+		return nil, err
 	}
 	wantKernel := func(k string) bool { return kernel == "all" || kernel == k }
 	var out []Experiment

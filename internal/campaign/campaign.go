@@ -1,13 +1,13 @@
 // Package campaign turns the one-shot experiment runners of
-// internal/pusch into a scenario-sweep engine: a Scenario names one
-// configuration variant (an end-to-end chain run or a Fig. 9c use-case
-// budget), generators build whole families of them (SNR sweeps behind
-// BER/EVM-versus-SNR curves, modulation-scheme x UE grids, the
-// cluster-size scaling of Fig. 9a-b, Cholesky schedule sweeps of the
-// Fig. 9c green/red comparison), and a Runner fans the scenarios out
-// across host goroutines — one engine.Machines pool shard per worker —
-// with deterministic per-scenario seeds, so campaign results are
-// byte-identical across runs and worker counts.
+// internal/pusch and internal/bench into a scenario-sweep engine: a
+// Scenario names one configuration variant (an end-to-end chain run or
+// a Fig. 9c use-case budget), generators build whole families of them
+// (SNR sweeps behind BER/EVM-versus-SNR curves, modulation-scheme x UE
+// grids, the cluster-size scaling of Fig. 9a-b, Cholesky schedule
+// sweeps of the Fig. 9c green/red comparison), and a Runner fans the
+// scenarios out across host goroutines — one engine.Machines pool
+// shard per worker — with deterministic per-scenario seeds, so
+// campaign results are byte-identical across runs and worker counts.
 //
 // Campaigns treat scenarios as independent. To serve them as dependent
 // traffic through a queue instead (arrivals, waits, drops), adapt them
@@ -18,6 +18,7 @@ import (
 	"fmt"
 
 	"repro/internal/arch"
+	"repro/internal/bench"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/pusch"
@@ -35,7 +36,7 @@ type Scenario struct {
 	// BER/EVM.
 	Chain *pusch.ChainConfig
 	// UseCase runs the Fig. 9c slot-budget experiment.
-	UseCase *pusch.UseCaseConfig
+	UseCase *bench.UseCaseConfig
 }
 
 // Result is one scenario's outcome, shaped for one-JSON-line-per-scenario
@@ -182,7 +183,7 @@ func fillFromRecord(res *Result, rec report.SlotRecord) {
 func (s *Scenario) runUseCase(pool *engine.Machines) Result {
 	cfg := *s.UseCase
 	if cfg.Cluster == nil {
-		cfg.Cluster = pusch.DefaultUseCase().Cluster
+		cfg.Cluster = bench.DefaultUseCase().Cluster
 	}
 	res := Result{
 		Scenario: s.Name,
@@ -197,7 +198,7 @@ func (s *Scenario) runUseCase(pool *engine.Machines) Result {
 	}
 	res.Cluster = cfg.Cluster.Name
 	res.Cores = cfg.Cluster.NumCores()
-	ur, err := pusch.RunUseCaseOn(pool, cfg)
+	ur, err := bench.RunUseCaseOn(pool, cfg)
 	if err != nil {
 		res.Error = err.Error()
 		return res

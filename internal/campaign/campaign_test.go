@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/bench"
 	"repro/internal/channel"
 	"repro/internal/pusch"
 	"repro/internal/waveform"
@@ -145,7 +146,7 @@ func TestClusterScalingScenarios(t *testing.T) {
 }
 
 func TestUseCaseScenario(t *testing.T) {
-	base := pusch.UseCaseConfig{
+	base := bench.UseCaseConfig{
 		Cluster: arch.MemPool(),
 		Symbols: 4, DataSymbols: 2,
 		NFFT: 256, NR: 8, NB: 4, NL: 4,
@@ -180,7 +181,7 @@ func TestInvalidClusterSurfacesAsError(t *testing.T) {
 		t.Errorf("valid sibling scenario damaged: %+v", results[1])
 	}
 
-	uc := pusch.UseCaseConfig{Cluster: &arch.Config{Name: "broken"}, Symbols: 4,
+	uc := bench.UseCaseConfig{Cluster: &arch.Config{Name: "broken"}, Symbols: 4,
 		DataSymbols: 2, NFFT: 256, NR: 8, NB: 4, NL: 4, CholPerRound: 4}
 	results = (&Runner{}).Run([]Scenario{{Name: "bad-usecase", UseCase: &uc}})
 	if results[0].Error == "" {
@@ -194,7 +195,7 @@ func TestScenarioValidation(t *testing.T) {
 		t.Error("empty scenario did not error")
 	}
 	cfg := testBase()
-	uc := pusch.DefaultUseCase()
+	uc := bench.DefaultUseCase()
 	results = (&Runner{}).Run([]Scenario{{Name: "both", Chain: &cfg, UseCase: &uc}})
 	if results[0].Error == "" {
 		t.Error("double-variant scenario did not error")
@@ -214,7 +215,7 @@ func TestCampaignResultsCarryThroughput(t *testing.T) {
 		t.Error("chain throughput not computed")
 	}
 
-	uc := pusch.UseCaseConfig{
+	uc := bench.UseCaseConfig{
 		Cluster: arch.MemPool(),
 		Symbols: 4, DataSymbols: 2,
 		NFFT: 256, NR: 8, NB: 4, NL: 4,

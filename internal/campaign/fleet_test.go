@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/bench"
 	"repro/internal/campaign"
 	"repro/internal/channel"
 	"repro/internal/fleet"
@@ -35,7 +36,7 @@ func fleetBase() pusch.ChainConfig {
 // measurement worker counts.
 func TestFleetServesCampaignFamily(t *testing.T) {
 	sweep := campaign.SNRSweep(fleetBase(), 8, 14, 2) // 4 chain scenarios
-	uc := pusch.UseCaseConfig{
+	uc := bench.UseCaseConfig{
 		Cluster: arch.MemPool(),
 		Symbols: 2, DataSymbols: 1,
 		NFFT: 64, NR: 4, NB: 4, NL: 2,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/arch"
+	"repro/internal/bench"
 	"repro/internal/channel"
 	"repro/internal/pusch"
 	"repro/internal/waveform"
@@ -191,7 +192,7 @@ func LayoutSweep(base pusch.ChainConfig, splits [][3]int) []Scenario {
 // CholScheduleSweep returns one use-case scenario per Cholesky batching
 // depth (the paper's green-versus-red schedule comparison, generalized),
 // all on the same cluster.
-func CholScheduleSweep(base pusch.UseCaseConfig, perRound []int) []Scenario {
+func CholScheduleSweep(base bench.UseCaseConfig, perRound []int) []Scenario {
 	var out []Scenario
 	for _, n := range perRound {
 		cfg := base

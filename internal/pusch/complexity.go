@@ -1,8 +1,9 @@
 // Package pusch ties the kernels into the PUSCH lower-PHY receive chain
 // of the paper: the complexity model of Section II (Table I, Fig. 3),
 // the end-to-end functional chain (FFT -> beamforming -> channel and
-// noise estimation -> MIMO detection) running on the cluster simulator,
-// and the Fig. 9c use-case runner. Chain execution is layout-driven
+// noise estimation -> MIMO detection) running on the cluster simulator.
+// The Fig. 9c use-case budget over the reference slot (UseCaseDims)
+// runs in internal/bench. Chain execution is layout-driven
 // (Layout): the sequential layout reproduces the paper's
 // stage-after-stage schedule on the whole cluster, while pipelined
 // layouts partition the cores among concurrent stages and overlap

@@ -183,90 +183,6 @@ func TestChainDetectsMoreUEs(t *testing.T) {
 	}
 }
 
-// TestUseCaseSmall runs the Fig. 9c machinery at reduced scale so it
-// stays unit-test fast, checking structure rather than magnitude.
-func TestUseCaseSmall(t *testing.T) {
-	res, err := RunUseCase(UseCaseConfig{
-		Cluster:      arch.MemPool(),
-		Symbols:      14,
-		DataSymbols:  12,
-		NFFT:         1024,
-		NR:           16,
-		NB:           8,
-		NL:           4,
-		CholPerRound: 4,
-		WithSerial:   true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalCycles != res.FFT.Total+res.MMM.Total+res.Chol.Total {
-		t.Error("totals do not add up")
-	}
-	sh := res.Shares()
-	var sum float64
-	for _, v := range sh {
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("shares sum to %g", sum)
-	}
-	if res.FFT.Passes != 14 || res.MMM.Passes != 14 {
-		t.Errorf("pass counts %d/%d, want 14/14", res.FFT.Passes, res.MMM.Passes)
-	}
-	// 1024 decs per data symbol over 256 cores = 4 per core per symbol;
-	// at 4 per barrier that is 12 passes.
-	if res.Chol.Passes != 12 {
-		t.Errorf("chol passes = %d, want 12", res.Chol.Passes)
-	}
-	if res.Speedup < 16 || res.Speedup > 256 {
-		t.Errorf("speedup %.0f outside (16, 256) for MemPool", res.Speedup)
-	}
-	if res.TimeMs <= 0 {
-		t.Error("no time computed")
-	}
-}
-
-func TestUseCaseValidation(t *testing.T) {
-	bad := DefaultUseCase()
-	bad.Symbols = 0
-	if _, err := RunUseCase(bad); err == nil {
-		t.Error("zero symbols accepted")
-	}
-	bad = DefaultUseCase()
-	bad.CholPerRound = 0
-	if _, err := RunUseCase(bad); err == nil {
-		t.Error("zero CholPerRound accepted")
-	}
-}
-
-// TestUseCaseRedBeatsGreen: batching 16 decompositions per barrier (the
-// paper's red schedule) must not be slower than 4 per barrier (green),
-// mirroring the 871-vs-848 ordering.
-func TestUseCaseRedBeatsGreen(t *testing.T) {
-	run := func(per int) int64 {
-		res, err := RunUseCase(UseCaseConfig{
-			Cluster:      arch.MemPool(),
-			Symbols:      14,
-			DataSymbols:  12,
-			NFFT:         1024,
-			NR:           16,
-			NB:           8,
-			NL:           4,
-			CholPerRound: per,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.TotalCycles
-	}
-	green := run(4)
-	red := run(16)
-	if red > green {
-		t.Errorf("red schedule (%d cycles) slower than green (%d)", red, green)
-	}
-}
-
 // TestChainOnTeraPool runs the functional chain on the larger cluster.
 func TestChainOnTeraPool(t *testing.T) {
 	res, err := RunChain(ChainConfig{
@@ -382,41 +298,5 @@ func TestChainRecord(t *testing.T) {
 	}
 	if math.Abs(shares-1) > 1e-9 {
 		t.Errorf("phase shares sum to %g, want 1", shares)
-	}
-}
-
-func TestUseCaseRecord(t *testing.T) {
-	cfg := UseCaseConfig{
-		Cluster:      arch.MemPool(),
-		Symbols:      14,
-		DataSymbols:  12,
-		NFFT:         1024,
-		NR:           16,
-		NB:           8,
-		NL:           4,
-		CholPerRound: 4,
-		WithSerial:   true,
-	}
-	res, err := RunUseCase(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := res.Record(cfg)
-	if rec.Kind != "usecase" || rec.CholPerRound != 4 || rec.UEs != 4 {
-		t.Errorf("record identity = %+v", rec)
-	}
-	if len(rec.Phases) != 3 || rec.Phases[0].Name != "OFDM FFT" {
-		t.Errorf("phases = %+v", rec.Phases)
-	}
-	if rec.TotalCycles != res.TotalCycles || rec.SerialCycles != res.SerialCycles {
-		t.Error("record cycles disagree with the result")
-	}
-	// 16-QAM payload over the allocated share of the scaled FFT:
-	// 1024-point FFT keeps the reference 3276/4096 allocation ratio.
-	if want := int64(12) * (1024 * 3276 / 4096) * 4 * 4; rec.PayloadBits != want {
-		t.Errorf("payload = %d bits, want %d", rec.PayloadBits, want)
-	}
-	if rec.ThroughputGbps <= 0 || rec.Speedup != res.Speedup {
-		t.Errorf("throughput %g, speedup %g", rec.ThroughputGbps, rec.Speedup)
 	}
 }

@@ -60,31 +60,3 @@ func TestChainOnReusedMachineMatchesFresh(t *testing.T) {
 		}
 	}
 }
-
-func TestUseCaseOnPoolMatchesFresh(t *testing.T) {
-	cfg := UseCaseConfig{
-		Cluster: arch.MemPool(),
-		Symbols: 4, DataSymbols: 2,
-		NFFT: 256, NR: 8, NB: 4, NL: 4,
-		CholPerRound: 4,
-	}
-	fresh, err := RunUseCase(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := engine.NewMachines()
-	// Two runs through the same pool: the second reuses the machines the
-	// first one pooled.
-	for i := 0; i < 2; i++ {
-		got, err := RunUseCaseOn(pool, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.TotalCycles != fresh.TotalCycles {
-			t.Errorf("run %d: pooled cycles %d, fresh %d", i, got.TotalCycles, fresh.TotalCycles)
-		}
-	}
-	if pool.Size() == 0 {
-		t.Error("use case did not return machines to the pool")
-	}
-}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/bench"
 	"repro/internal/campaign"
 	"repro/internal/channel"
 	"repro/internal/engine"
@@ -33,8 +34,8 @@ func tinyChain() pusch.ChainConfig {
 // tinyUseCase is a minimal valid use-case configuration: tests only
 // need a non-chain scenario for FromScenarios to skip, so keep the
 // campaign runner's pass over it cheap.
-func tinyUseCase() pusch.UseCaseConfig {
-	return pusch.UseCaseConfig{
+func tinyUseCase() bench.UseCaseConfig {
+	return bench.UseCaseConfig{
 		Cluster: arch.MemPool(),
 		Symbols: 2, DataSymbols: 1,
 		NFFT: 64, NR: 4, NB: 4, NL: 2,

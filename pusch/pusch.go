@@ -7,6 +7,7 @@ package pusch
 
 import (
 	"repro/internal/arch"
+	"repro/internal/bench"
 	"repro/internal/engine"
 	"repro/internal/pusch"
 	"repro/internal/report"
@@ -22,11 +23,11 @@ type (
 	// ChainResult reports link quality and per-stage timing.
 	ChainResult = pusch.ChainResult
 	// UseCaseConfig parameterizes the Fig. 9c experiment.
-	UseCaseConfig = pusch.UseCaseConfig
+	UseCaseConfig = bench.UseCaseConfig
 	// UseCaseResult is the Fig. 9c cycle budget.
-	UseCaseResult = pusch.UseCaseResult
+	UseCaseResult = bench.UseCaseResult
 	// KernelTiming is one kernel's share of the use-case budget.
-	KernelTiming = pusch.KernelTiming
+	KernelTiming = bench.KernelTiming
 	// SlotTX is the host-side transmit stage of one slot.
 	SlotTX = pusch.SlotTX
 	// Pipeline is the receive-side kernel stage, run symbol by symbol.
@@ -101,13 +102,13 @@ func RunChainRecordOn(m *engine.Machine, cfg ChainConfig) (SlotRecord, error) {
 }
 
 // RunUseCase executes the Fig. 9c slot-budget experiment.
-func RunUseCase(cfg UseCaseConfig) (*UseCaseResult, error) { return pusch.RunUseCase(cfg) }
+func RunUseCase(cfg UseCaseConfig) (*UseCaseResult, error) { return bench.RunUseCase(cfg) }
 
 // RunUseCaseOn executes the Fig. 9c experiment with machines drawn from
 // the given pool (nil builds them fresh).
 func RunUseCaseOn(pool *engine.Machines, cfg UseCaseConfig) (*UseCaseResult, error) {
-	return pusch.RunUseCaseOn(pool, cfg)
+	return bench.RunUseCaseOn(pool, cfg)
 }
 
 // DefaultUseCase returns the paper's TeraPool use-case configuration.
-func DefaultUseCase() UseCaseConfig { return pusch.DefaultUseCase() }
+func DefaultUseCase() UseCaseConfig { return bench.DefaultUseCase() }
