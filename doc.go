@@ -70,16 +70,16 @@
 // budget). docs/TIMING.md specifies the analytic model.
 //
 // The cycle-accurate path itself is engineered to be cheap on the
-// host without moving a simulated cycle: the bank-reservation table
-// runs allocation-free epochs, and the interpreter hot path is
-// flattened against hoisted cluster invariants. Bulk access ops are
-// loops over the one scalar load/store issue path, so a kernel's
-// load/store span has scalar timing by construction. The bulk-access
-// contract, the gates pinning cycle-exactness (property test plus
-// benchgate baselines) and the host-throughput measurement loop
-// (BENCH `host` section, CI smoke gate, committed pprof profiles in
-// docs/perf/) are specified in docs/ARCHITECTURE.md, "Engine
-// performance model".
+// host without moving a simulated cycle: the bank-reservation table is
+// a ring of time-major rows with allocation-free epochs, and the
+// interpreter hot path is flattened against hoisted cluster
+// invariants. Bulk access ops are loops over the one scalar load/store
+// issue path, so a kernel's load/store span has scalar timing by
+// construction. The bulk-access contract, the gates pinning
+// cycle-exactness (property test plus benchgate baselines) and the
+// host-throughput measurement loop (BENCH `host` section, CI smoke
+// gate, committed pprof profiles in docs/perf/) are specified in
+// docs/ARCHITECTURE.md, "Engine performance model".
 //
 // The layer-by-layer map of the codebase — tcdm memory model up through
 // engine, kernels, chain, campaign/scheduler/fleet, telemetry and the

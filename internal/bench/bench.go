@@ -84,11 +84,11 @@ func deepen(cfg *arch.Config, need int) *arch.Config {
 // whole cluster; serial baselines pass core0 so idle cores do not
 // dilute the wall window or the stall totals).
 func measureCold(m *engine.Machine, name string, cores []int, fn func() error) (engine.Report, error) {
-	mark := m.Mark()
+	mark := m.Remark()
 	if err := fn(); err != nil {
 		return engine.Report{}, err
 	}
-	return m.ReportSince(mark, name, cores), nil
+	return m.ReportSince(*mark, name, cores), nil
 }
 
 // measureWarm runs fn once, synchronizes the cluster and reports the

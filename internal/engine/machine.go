@@ -103,6 +103,7 @@ type Machine struct {
 	groupTiles  []int   // wakeCost: whole tiles per group
 	allCores    []int   // cached identity core list for Barrier(nil)
 	barArrive   []int64 // Barrier arrival times
+	mark        Mark    // the snapshot Remark refills
 }
 
 type tileICache struct {

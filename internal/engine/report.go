@@ -12,11 +12,26 @@ type Mark struct {
 
 // Mark snapshots the current per-core clocks and counters.
 func (m *Machine) Mark() Mark {
-	mk := Mark{
-		time:  append([]int64(nil), m.coreTime...),
-		stats: append([]Stats(nil), m.coreStats...),
-	}
+	var mk Mark
+	m.markInto(&mk)
 	return mk
+}
+
+// Remark refills the machine's own snapshot with the current per-core
+// clocks and counters and returns it: Mark without the allocation, for
+// callers that measure one window at a time (the chain's beat loop, the
+// kernel harness), so that a reused machine takes its snapshots for
+// free. The snapshot stays valid until the next Remark on this machine;
+// a caller that keeps two windows open at once takes Mark.
+func (m *Machine) Remark() *Mark {
+	m.markInto(&m.mark)
+	return &m.mark
+}
+
+// markInto fills mk, reusing its buffers.
+func (m *Machine) markInto(mk *Mark) {
+	mk.time = append(mk.time[:0], m.coreTime...)
+	mk.stats = append(mk.stats[:0], m.coreStats...)
 }
 
 // Report summarizes one measured window for a set of cores: wall cycles,

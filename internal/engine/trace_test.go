@@ -265,29 +265,80 @@ func TestUntracedRunAllocsNothing(t *testing.T) {
 // machine-reuse path: once warmed, a full Run -> TrimReservations ->
 // Reset cycle — including memory-touching work, barrier retirement and
 // the epoch-based reservation/icache reset — performs no allocation, so
-// campaign loops can reuse one Machine indefinitely.
+// campaign loops can reuse one Machine indefinitely. The TeraPool case
+// has the shape of a pipelined chain slot: per beat, a Remark snapshot,
+// two partitions running concurrently behind a NotBefore handshake, a
+// report over each partition and a retire over both, so the 4096-bank
+// reservation rows and the beat snapshots must be recycled too.
 func TestResetAndTrimAllocsNothing(t *testing.T) {
-	m := NewMachine(arch.MemPool())
-	cores := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	work := func(p *Proc) {
-		base := arch.Addr(p.Lane * 64)
-		var buf [16]W
-		p.LoadSpan(base, buf[:])
-		p.Tick(9000) // push clocks past the retire window so Trim fires
-		p.StoreVec(base, 2, buf[:8])
-	}
-	job := Job{Name: "j", Cores: cores, Phases: []Phase{
-		{Name: "p", Kernel: "t/k", Work: work},
-	}}
-	cycle := func() {
-		if err := m.Run(job); err != nil {
-			t.Fatal(err)
+	t.Run("mempool", func(t *testing.T) {
+		m := NewMachine(arch.MemPool())
+		cores := []int{0, 1, 2, 3, 4, 5, 6, 7}
+		work := func(p *Proc) {
+			base := arch.Addr(p.Lane * 64)
+			var buf [16]W
+			p.LoadSpan(base, buf[:])
+			p.Tick(9000) // push clocks past the retire window so Trim fires
+			p.StoreVec(base, 2, buf[:8])
 		}
-		m.TrimReservations(nil)
-		m.Reset()
-	}
-	cycle() // warm scratch buffers, icache sets and reservation rings
-	if avg := testing.AllocsPerRun(50, cycle); avg != 0 {
-		t.Fatalf("Run+Trim+Reset allocates %.1f objects/op, want 0", avg)
-	}
+		job := Job{Name: "j", Cores: cores, Phases: []Phase{
+			{Name: "p", Kernel: "t/k", Work: work},
+		}}
+		cycle := func() {
+			if err := m.Run(job); err != nil {
+				t.Fatal(err)
+			}
+			m.TrimReservations(nil)
+			m.Reset()
+		}
+		cycle() // warm scratch buffers, icache sets and reservation rows
+		if avg := testing.AllocsPerRun(50, cycle); avg != 0 {
+			t.Fatalf("Run+Trim+Reset allocates %.1f objects/op, want 0", avg)
+		}
+	})
+	t.Run("terapool-pipelined", func(t *testing.T) {
+		m := NewMachine(arch.TeraPool())
+		front, back := make([]int, 512), make([]int, 256)
+		for i := range front {
+			front[i] = i
+		}
+		for i := range back {
+			back[i] = 512 + i
+		}
+		live := append(append([]int(nil), front...), back...)
+		words := arch.Addr(m.Cfg.NumBanks())
+		stream := func(p *Proc) {
+			// Sweep every bank in lane order, the way the kernels stream
+			// over interleaved data, then run past the retire window.
+			var buf [8]W
+			for a := arch.Addr(p.Lane); a < 4*words; a += 8 * 512 {
+				p.LoadSpan(a, buf[:])
+			}
+			p.Tick(3000)
+		}
+		jobs := []Job{
+			{Name: "front", Cores: front, Phases: []Phase{{Name: "p", Kernel: "t/f", Work: stream}}},
+			{Name: "back", Cores: back, Phases: []Phase{{Name: "p", Kernel: "t/b", Work: stream}}},
+		}
+		slot := func() {
+			m.Reset()
+			var fin int64
+			for beat := 0; beat < 6; beat++ {
+				mark := m.Remark()
+				jobs[1].NotBefore = fin // the back partition consumes the front's output
+				if err := m.Run(jobs...); err != nil {
+					t.Fatal(err)
+				}
+				m.TrimReservations(live)
+				if m.ReportSince(*mark, "front", front).Wall <= 0 {
+					t.Fatal("empty front window")
+				}
+				fin = m.MaxTime(front)
+			}
+		}
+		slot() // the first slot grows the ring and allocates its rows
+		if avg := testing.AllocsPerRun(5, slot); avg != 0 {
+			t.Fatalf("a second pipelined TeraPool slot allocates %.1f objects/op, want 0", avg)
+		}
+	})
 }

@@ -239,8 +239,8 @@ func union(sets ...[]int) []int {
 // walls of one slot overlap in time. When a trace is attached, the same
 // window becomes one stage-level span named "<name> s<sym>" on the
 // track of the stage's partition.
-func (pl *Pipeline) accumulate(stage Stage, mark engine.Mark, name string, part, cores []int, sym int) int64 {
-	rep := pl.m.ReportSince(mark, name, cores)
+func (pl *Pipeline) accumulate(stage Stage, mark *engine.Mark, name string, part, cores []int, sym int) int64 {
+	rep := pl.m.ReportSince(*mark, name, cores)
 	agg := pl.stages[stage]
 	agg.Name = string(stage)
 	agg.Cores = rep.Cores
@@ -248,7 +248,7 @@ func (pl *Pipeline) accumulate(stage Stage, mark engine.Mark, name string, part,
 	agg.Stats.Add(rep.Stats)
 	pl.stages[stage] = agg
 	if pl.trace != nil {
-		start, end := pl.m.WindowSince(mark, cores)
+		start, end := pl.m.WindowSince(*mark, cores)
 		pl.trace.Add(trackFor(part), fmt.Sprintf("%s s%d", name, sym), start, end)
 	}
 	return pl.m.MaxTime(cores)
@@ -371,7 +371,7 @@ func (pl *Pipeline) beat(sFFT, sBF, sDet int) error {
 	if len(jobs) == 0 {
 		return nil
 	}
-	mark := pl.m.Mark()
+	mark := pl.m.Remark()
 	if err := pl.m.Run(jobs...); err != nil {
 		return err
 	}
@@ -397,7 +397,7 @@ func (pl *Pipeline) beat(sFFT, sBF, sDet int) error {
 	// Noise combine: needs both pilot estimates. It shares the
 	// detection partition, so it serializes behind the chest task by
 	// clock continuity; the NotBefore handshake states the dependency.
-	mark = pl.m.Mark()
+	mark = pl.m.Remark()
 	j := pl.comb.Job()
 	j.NotBefore = max(pl.finDet[0], pl.finDet[cfg.NPilot-1])
 	if err := pl.m.Run(j); err != nil {

@@ -11,6 +11,29 @@ package report
 // cmd/benchgate -host-smoke).
 type HostSection struct {
 	Slots []HostSlotRecord `json:"slots"`
+	// Benchmarks carries a change's old -> new host benchmark figures,
+	// for the speed claims that name a go benchmark rather than a
+	// reference slot. An artifact whose section has no Slots leaves the
+	// smoke gate's baseline where it was.
+	Benchmarks []HostBenchRecord `json:"benchmarks,omitempty"`
+}
+
+// HostBenchRecord is one go benchmark timed on the parent tree and on
+// the change, in alternating runs on one host: the minimum ns/op of
+// each side, since a minimum is the stable figure on a noisy host.
+type HostBenchRecord struct {
+	// Name is the benchmark, as `go test -bench` names it.
+	Name string `json:"name"`
+	// Host describes the machine the pairs ran on.
+	Host string `json:"host"`
+	// Pairs is the number of alternating old/new runs.
+	Pairs      int   `json:"pairs"`
+	OldNsPerOp int64 `json:"old_ns_per_op"`
+	NewNsPerOp int64 `json:"new_ns_per_op"`
+	OldAllocs  int64 `json:"old_allocs_per_op"`
+	NewAllocs  int64 `json:"new_allocs_per_op"`
+	OldBytes   int64 `json:"old_bytes_per_op"`
+	NewBytes   int64 `json:"new_bytes_per_op"`
 }
 
 // HostSlotRecord is the host cost of one reference slot configuration.

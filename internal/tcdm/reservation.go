@@ -1,7 +1,7 @@
 // Package tcdm models the cluster's tightly-coupled data memory: the
 // word-addressed banked storage, arena allocators for the two layout
 // families the kernels use (sequential-interleaved and tile-local), and
-// per-bank cycle-reservation tables that resolve bank contention.
+// the cycle-reservation table that resolves bank contention.
 //
 // Each bank serves one access per cycle. The engine replays the cores in
 // core-ID order, so reservation implements a fixed-priority arbiter:
@@ -9,236 +9,226 @@
 // placements this coincides with MemPool's round-robin arbiter: a bank
 // that only one core addresses per cycle serves it at once under
 // either policy.
+//
+// The table is time-major. A row covers 64 cycles and holds one uint64
+// busy bitmap per bank, so the cores' streams over interleaved banks at
+// neighbouring cycles land in one row and share its cache lines (eight
+// banks per line), instead of each touching its own per-bank page.
 package tcdm
 
 import "math/bits"
 
-// pageBits is log2 of the cycles covered by one reservation page.
-const pageBits = 12 // 4096 cycles per page
+// rowBits is log2 of the cycles covered by one reservation row: one
+// uint64 word per bank.
+const rowBits = 6
 
-const pageWords = 1 << (pageBits - 6) // uint64 words per page
+// pageBits is log2 of the retirement granularity: Retire drops whole
+// 4096-cycle pages, i.e. runs of 1<<(pageBits-rowBits) rows.
+const pageBits = 12
 
-type page [pageWords]uint64
+// ringRows is the initial row-ring size; it covers ringRows<<rowBits
+// unretired cycles before the first growth.
+const ringRows = 256
 
-// pageSlot is one entry of a bank's open-addressed page ring: the page
-// index it currently holds plus the epoch labels deciding whether that
-// content is still meaningful. A slot whose labels are stale is storage
-// waiting to be recycled, not state — Reset and Retire never touch it.
-type pageSlot struct {
-	idx int64 // page index (cycle >> pageBits) the slot holds
+// chunkBits is log2 of the banks in one chunk, the unit in which row
+// storage is allocated: 64 banks, 512 B.
+const chunkBits = 6
+
+// chunk is one row's bitmap words for 1<<chunkBits consecutive banks.
+type chunk [1 << chunkBits]uint64
+
+// rowTag labels one ring slot: the row index it holds plus the epoch
+// labels deciding whether that content is still meaningful. A slot
+// whose labels are stale is storage waiting to be recycled, not state —
+// Reset and Retire never touch it.
+type rowTag struct {
+	row int64 // row index (cycle >> rowBits) the slot holds
 	gen uint32
 	seq uint32
-	p   *page
-}
-
-// bankRes tracks the busy cycles of one bank as pages hung off a small
-// power-of-two ring indexed by page index. Pages of one bank cluster
-// tightly in time (the engine retires everything behind the slowest
-// core at each barrier), so the ring stays tiny; it doubles on the rare
-// collision between two live pages. The first ringSlots entries live
-// inline in the struct — the hot lookup computes the slot address from
-// the bank index alone, with no pointer chase — and only a grown ring
-// spills to the ext slice.
-type bankRes struct {
-	mask int64
-	ext  []pageSlot // nil while the inline ring suffices
-	ring [ringSlots]pageSlot
-}
-
-// slot returns the ring slot for page idx.
-func (b *bankRes) slot(idx int64) *pageSlot {
-	if b.ext == nil {
-		return &b.ring[idx&(ringSlots-1)]
-	}
-	return &b.ext[idx&b.mask]
-}
-
-// all returns the current ring storage (for growth scans).
-func (b *bankRes) all() []pageSlot {
-	if b.ext == nil {
-		return b.ring[:]
-	}
-	return b.ext
 }
 
 // Reservation resolves bank contention for a whole cluster.
 //
-// Instead of allocating and freeing page maps, the table is epoch-based:
-// Reset bumps a generation counter (gen) that invalidates every page in
-// O(1), and Retire bumps a retire sequence (seq) plus a page-index
-// cutoff that invalidates old pages in O(1). Page storage is recycled
-// in place the next time its ring slot is claimed, so steady-state
-// operation — including Machine.Reset between runs and barrier
-// retirement inside runs — performs no allocation at all.
+// Row r lives in ring slot r & mask. The tags are a few KB, so the
+// lookup stays in L1. A slot's row is stored as chunks of 64 banks,
+// each allocated the first time one of its banks is booked, so a row
+// costs memory only where it is used (a single core's long serial pass
+// touches a handful of chunks per row). A slot claimed again clears its
+// chunks in place. The ring doubles on the rare collision between two
+// live rows, moving only the chunk pointers.
+//
+// The table is epoch-based: Reset bumps a generation counter (gen) that
+// invalidates every row in O(1), and Retire bumps a retire sequence
+// (seq) plus a row-index cutoff that invalidates old rows in O(1).
+// Steady-state operation — including Machine.Reset between runs and
+// barrier retirement inside runs — performs no allocation at all.
 type Reservation struct {
-	banks []bankRes
+	nChunks int // chunks per row
+	mask    int64
+	tags    []rowTag
+	// chunks holds slot i's row at [i*nChunks, (i+1)*nChunks); a nil
+	// chunk reads as empty.
+	chunks []*chunk
 
-	// gen labels the current Reset epoch: pages claimed under an older
-	// gen read as empty.
+	// gen labels the current Reset epoch: rows claimed under an older
+	// gen read as empty. It starts at 1, so a never-claimed slot (zero
+	// tag) reads as empty too.
 	gen uint32
 	// seq labels the current Retire window and cutoff is the first live
-	// page index: a page below the cutoff claimed under an older seq
-	// reads as empty (exactly the pages the map-based table deleted).
-	// Retire cutoffs must be non-decreasing within one epoch, which the
-	// engine guarantees (per-core clocks only move forward).
+	// row index, always a page boundary: a row below the cutoff claimed
+	// under an older seq reads as empty. Retire cutoffs must be
+	// non-decreasing within one epoch, which the engine guarantees
+	// (per-core clocks only move forward).
 	seq    uint32
 	cutoff int64
-
-	// free recycles page arrays displaced by ring growth.
-	free []*page
 
 	conflicts int64 // total cycles of delay handed out
 	accesses  int64
 }
 
-// ringSlots is the initial per-bank ring size; it covers a span of
-// ringSlots<<pageBits unretired cycles before the first growth.
-const ringSlots = 4
-
 // NewReservation creates tables for nBanks banks.
 func NewReservation(nBanks int) *Reservation {
-	r := &Reservation{banks: make([]bankRes, nBanks)}
-	for i := range r.banks {
-		r.banks[i].mask = ringSlots - 1
+	n := (nBanks + 1<<chunkBits - 1) >> chunkBits
+	return &Reservation{
+		nChunks: n,
+		mask:    ringRows - 1,
+		tags:    make([]rowTag, ringRows),
+		chunks:  make([]*chunk, ringRows*n),
+		gen:     1,
 	}
-	return r
 }
 
 // Reset invalidates every reservation and zeroes the contention
 // counters in O(1), returning the table to its just-constructed state
-// without touching any page. Machine reuse depends on this being cheap:
-// the arena alone is multi-MiB, and page content is lazily cleared only
-// when its slot is claimed again.
+// without touching any row. Machine reuse depends on this being cheap:
+// row content is lazily cleared only when its slot is claimed again.
 func (r *Reservation) Reset() {
 	r.gen++
+	if r.gen == 0 { // wrapped: a stale tag could carry the new gen
+		clear(r.tags)
+		r.gen = 1
+	}
 	r.seq = 0
 	r.cutoff = 0
 	r.conflicts = 0
 	r.accesses = 0
 }
 
-// live reports whether a slot's content is meaningful under the current
-// epoch labels.
-func (r *Reservation) live(s *pageSlot) bool {
-	return s.p != nil && s.gen == r.gen && (s.idx >= r.cutoff || s.seq == r.seq)
+// live reports whether slot i's content is meaningful under the
+// current epoch labels.
+func (r *Reservation) live(i int64) bool {
+	t := &r.tags[i]
+	return t.gen == r.gen && (t.row >= r.cutoff || t.seq == r.seq)
 }
 
-// claimPage returns cleared page storage for page idx of bank b,
-// recycling the ring slot in place (growing the ring only when the slot
-// holds a different page that is still live).
-func (r *Reservation) claimPage(b *bankRes, idx int64) *page {
-	s := b.slot(idx)
-	if r.live(s) && s.idx != idx {
-		b.grow(r, idx)
-		s = b.slot(idx)
+// slot returns the chunk pointers of ring slot i.
+func (r *Reservation) slot(i int64) []*chunk {
+	n := int64(r.nChunks)
+	return r.chunks[i*n : i*n+n]
+}
+
+// claim clears ring slot storage for row and returns the slot,
+// recycling it in place (growing the ring only when the slot holds a
+// different row that is still live).
+func (r *Reservation) claim(row int64) int64 {
+	i := row & r.mask
+	if r.live(i) && r.tags[i].row != row {
+		r.grow(row)
+		i = row & r.mask
 	}
-	if s.p == nil {
-		if n := len(r.free); n > 0 {
-			s.p = r.free[n-1]
-			r.free = r.free[:n-1]
-			*s.p = page{}
-		} else {
-			s.p = new(page)
+	for _, c := range r.slot(i) {
+		if c != nil {
+			*c = chunk{}
 		}
-	} else {
-		*s.p = page{}
 	}
-	s.idx, s.gen, s.seq = idx, r.gen, r.seq
-	return s.p
+	r.tags[i] = rowTag{row: row, gen: r.gen, seq: r.seq}
+	return i
 }
 
-// grow doubles the ring until every live page plus the incoming index
-// lands in a distinct slot, recycling the storage of stale pages.
-func (b *bankRes) grow(r *Reservation, newIdx int64) {
-	var keep []pageSlot
-	cur := b.all()
-	for i := range cur {
-		s := &cur[i]
-		if s.p == nil {
+// grow doubles the ring until every live row and the incoming one land
+// in distinct slots. Live rows move with their chunks; the chunks of
+// stale rows fill slots left empty, so growth drops nothing it would
+// have to allocate again.
+func (r *Reservation) grow(row int64) {
+	old, n := int64(len(r.tags)), int64(r.nChunks)
+	for size := 2 * old; ; size *= 2 {
+		mask := size - 1
+		tags, taken := make([]rowTag, size), make([]bool, size)
+		ok := true
+		for i := int64(0); i < old && ok; i++ {
+			if r.live(i) {
+				j := r.tags[i].row & mask
+				ok = !taken[j] && j != row&mask
+				taken[j], tags[j] = true, r.tags[i]
+			}
+		}
+		if !ok {
 			continue
 		}
-		if r.live(s) {
-			keep = append(keep, *s)
-		} else {
-			r.free = append(r.free, s.p)
-		}
-		*s = pageSlot{}
-	}
-	size := 2 * len(cur)
-	for {
-		mask := int64(size - 1)
-		slots := make([]pageSlot, size)
-		ok := true
-		for _, s := range keep {
-			j := s.idx & mask
-			if slots[j].p != nil {
-				ok = false
-				break
+		chunks := make([]*chunk, size*n)
+		free := int64(0)
+		for i := int64(0); i < old; i++ {
+			k := r.tags[i].row & mask
+			if !r.live(i) {
+				for taken[free] {
+					free++
+				}
+				k, taken[free] = free, true
 			}
-			slots[j] = s
+			copy(chunks[k*n:(k+1)*n], r.slot(i))
 		}
-		if ok && slots[newIdx&mask].p == nil {
-			b.ext, b.mask = slots, mask
-			return
-		}
-		size *= 2
+		r.tags, r.chunks, r.mask = tags, chunks, mask
+		return
 	}
 }
 
 // Acquire books the first free service cycle >= t on the given bank and
-// returns it. The difference between the returned cycle and t is the
-// conflict delay suffered by this access.
+// returns it. The difference between the returned cycle and t (clamped
+// to 0) is the conflict delay suffered by this access.
 func (r *Reservation) Acquire(bank int, t int64) int64 {
 	if t < 0 {
 		t = 0
 	}
-	b := &r.banks[bank]
 	r.accesses++
+	req := t
 	for {
-		idx := t >> pageBits
-		s := b.slot(idx)
-		var p *page
-		if s.idx == idx && s.p != nil && s.gen == r.gen && (idx >= r.cutoff || s.seq == r.seq) {
-			p = s.p
-		} else {
-			p = r.claimPage(b, idx)
+		row := t >> rowBits
+		i := row & r.mask
+		if tg := &r.tags[i]; tg.row != row || tg.gen != r.gen || (row < r.cutoff && tg.seq != r.seq) {
+			i = r.claim(row)
 		}
-		off := t & (1<<pageBits - 1)
-		w := off >> 6
-		bit := uint(off & 63)
-		// Uncontended fast path: the requested cycle itself is free.
-		if p[w]&(1<<bit) == 0 {
-			p[w] |= 1 << bit
-			return t
+		ci := int(i)*r.nChunks + bank>>chunkBits
+		c := r.chunks[ci]
+		if c == nil {
+			c = new(chunk)
+			r.chunks[ci] = c
 		}
-		// Scan the current page word by word for a free bit.
-		for w < pageWords {
-			free := ^p[w] >> bit << bit // mask off bits below the start position
-			if free != 0 {
-				pos := int64(bits.TrailingZeros64(free))
-				p[w] |= 1 << uint(pos)
-				slot := idx<<pageBits | w<<6 | pos
-				r.conflicts += slot - t
-				return slot
-			}
-			w++
-			bit = 0
+		w := &c[bank&(1<<chunkBits-1)]
+		// Free cycles of this bank in the row at or after t. Uncontended,
+		// the lowest one is t itself.
+		off := uint(t & 63)
+		free := ^*w >> off << off
+		if free != 0 {
+			pos := int64(bits.TrailingZeros64(free))
+			*w |= 1 << pos
+			slot := row<<rowBits | pos
+			r.conflicts += slot - req
+			return slot
 		}
-		// Page exhausted: continue at the start of the next page.
-		t = (idx + 1) << pageBits
+		// Row exhausted: continue at the start of the next one.
+		t = (row + 1) << rowBits
 	}
 }
 
 // Busy reports whether cycle t is already booked on bank (test helper).
 func (r *Reservation) Busy(bank int, t int64) bool {
-	b := &r.banks[bank]
-	idx := t >> pageBits
-	s := b.slot(idx)
-	if s.idx != idx || !r.live(s) {
+	row := t >> rowBits
+	i := row & r.mask
+	if r.tags[i].row != row || !r.live(i) {
 		return false
 	}
-	off := t & (1<<pageBits - 1)
-	return s.p[off>>6]&(1<<uint(off&63)) != 0
+	c := r.slot(i)[bank>>chunkBits]
+	return c != nil && c[bank&(1<<chunkBits-1)]>>uint(t&63)&1 != 0
 }
 
 // Retire drops all reservation pages that end strictly before cycle t.
@@ -246,7 +236,7 @@ func (r *Reservation) Busy(bank int, t int64) bool {
 // Within one epoch its cutoffs must be non-decreasing; the engine
 // derives them from the slowest core's clock, which only moves forward.
 func (r *Reservation) Retire(t int64) {
-	cutoff := t >> pageBits // pages with idx < cutoff end before t
+	cutoff := t >> pageBits << (pageBits - rowBits) // rows of pages ending before t
 	r.seq++
 	if cutoff > r.cutoff {
 		r.cutoff = cutoff
@@ -254,7 +244,7 @@ func (r *Reservation) Retire(t int64) {
 }
 
 // ConflictCycles returns the total delay (in bank-cycles) attributed to
-// contention since creation.
+// contention since the last Reset.
 func (r *Reservation) ConflictCycles() int64 { return r.conflicts }
 
 // Accesses returns the total number of bank accesses booked.

@@ -83,6 +83,183 @@ func TestReservationBusyAndRetire(t *testing.T) {
 	}
 }
 
+// TestConflictCyclesCountFromRequest pins the delay accounting of a
+// contended scan that runs off the end of a page: the delay is the
+// distance from the requested cycle, not from the page start the scan
+// resumed at.
+func TestConflictCyclesCountFromRequest(t *testing.T) {
+	r := NewReservation(1)
+	r.Acquire(0, 4094)
+	r.Acquire(0, 4095)
+	if got := r.Acquire(0, 4094); got != 4096 {
+		t.Fatalf("contended acquire = %d, want 4096", got)
+	}
+	if got := r.ConflictCycles(); got != 2 {
+		t.Errorf("ConflictCycles = %d, want 2 (4094 -> 4096)", got)
+	}
+}
+
+// TestReservationRingGrowthKeepsLiveRows books live rows that collide
+// in the ring at its first two sizes, so growth must double more than
+// once before the incoming row has a slot of its own.
+func TestReservationRingGrowthKeepsLiveRows(t *testing.T) {
+	r := NewReservation(70)
+	cycles := []int64{0, 2 * ringRows << rowBits, 4 * ringRows << rowBits}
+	for _, c := range cycles {
+		for _, bank := range []int{3, 69} {
+			if got := r.Acquire(bank, c); got != c {
+				t.Fatalf("Acquire(%d, %d) = %d on an empty bank", bank, c, got)
+			}
+		}
+	}
+	for _, c := range cycles {
+		for _, bank := range []int{3, 69} {
+			if !r.Busy(bank, c) {
+				t.Errorf("bank %d cycle %d lost its booking across ring growth", bank, c)
+			}
+		}
+	}
+	if len(r.tags) < 8*ringRows {
+		t.Errorf("ring has %d slots, want >= %d to separate the rows", len(r.tags), 8*ringRows)
+	}
+}
+
+// refTable is the reference model of Reservation: every booking as a
+// map entry labelled with the retire window it was made in, under the
+// same epoch rules — Reset forgets everything, and a booking in a page
+// below the retire cutoff counts only if it was made since the last
+// Retire.
+type refTable struct {
+	booked    map[int]map[int64]uint32 // bank -> cycle -> seq at booking
+	seq       uint32
+	cutoff    int64 // first live page
+	conflicts int64
+	accesses  int64
+}
+
+func newRefTable() *refTable { return &refTable{booked: map[int]map[int64]uint32{}} }
+
+func (m *refTable) busy(bank int, t int64) bool {
+	seq, ok := m.booked[bank][t]
+	return ok && (t>>pageBits >= m.cutoff || seq == m.seq)
+}
+
+func (m *refTable) acquire(bank int, t int64) int64 {
+	if t < 0 {
+		t = 0
+	}
+	slot := t
+	for m.busy(bank, slot) {
+		slot++
+	}
+	if m.booked[bank] == nil {
+		m.booked[bank] = map[int64]uint32{}
+	}
+	m.booked[bank][slot] = m.seq
+	m.conflicts += slot - t
+	m.accesses++
+	return slot
+}
+
+func (m *refTable) retire(t int64) {
+	m.seq++
+	m.cutoff = max(m.cutoff, t>>pageBits)
+}
+
+func (m *refTable) reset() { *m = *newRefTable() }
+
+// TestReservationMatchesReference drives the row ring and the reference
+// model through the same seeded random sequences of Acquire, Retire
+// (non-decreasing cutoffs) and Reset, and requires them to agree at
+// every step on the returned cycle, Busy, Accesses and ConflictCycles.
+// Requests cluster around a moving front — so scans run across row and
+// page boundaries — plus some behind the retire cutoff, and the front
+// outruns retirement far enough to force ring growth and wrap. The
+// banks straddle 64-bank chunk edges and end in a partial chunk.
+func TestReservationMatchesReference(t *testing.T) {
+	banks := []int{0, 1, 63, 64, 129}
+	for seed := uint64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 7))
+		r, m := NewReservation(130), newRefTable()
+		var front, lastRetire int64
+		grew, wrapped := false, false
+		var crossRow, crossPage, belowCutoff int
+		for step := 0; step < 30000; step++ {
+			switch op := rng.IntN(1000); {
+			case op < 1:
+				r.Reset()
+				m.reset()
+				front, lastRetire = 0, 0
+			case op < 20:
+				// Retire somewhere between the last cutoff and the front
+				// (cutoffs never decrease within an epoch).
+				cut := lastRetire + rng.Int64N(front-lastRetire+1)
+				r.Retire(cut)
+				m.retire(cut)
+				lastRetire = cut
+			default:
+				bank := banks[rng.IntN(len(banks))]
+				var at int64
+				switch k := rng.IntN(10); {
+				case k < 6: // a hot spot just behind the front
+					at = front - rng.Int64N(70)
+				case k < 8: // right at a row or page boundary
+					b := int64(1) << rowBits
+					if k == 7 {
+						b = 1 << pageBits
+					}
+					at = (front/b)*b - rng.Int64N(3)
+				default: // a few pages back, often below the cutoff
+					at = front - rng.Int64N(4<<pageBits)
+				}
+				got, want := r.Acquire(bank, at), m.acquire(bank, at)
+				if got != want {
+					t.Fatalf("seed %d step %d: Acquire(%d, %d) = %d, want %d", seed, step, bank, at, got, want)
+				}
+				if at >= 0 && got>>rowBits != at>>rowBits {
+					crossRow++
+				}
+				if at >= 0 && got>>pageBits != at>>pageBits {
+					crossPage++
+				}
+				if got>>pageBits < m.cutoff {
+					belowCutoff++
+				}
+				// The front advances in bursts, sometimes by more than the
+				// whole initial ring, so rows wrap around the ring.
+				front += rng.Int64N(4)
+				if rng.IntN(500) == 0 {
+					front += rng.Int64N(3 * ringRows << rowBits)
+				}
+			}
+			if r.Accesses() != m.accesses || r.ConflictCycles() != m.conflicts {
+				t.Fatalf("seed %d step %d: accesses/conflicts %d/%d, want %d/%d",
+					seed, step, r.Accesses(), r.ConflictCycles(), m.accesses, m.conflicts)
+			}
+			for k := 0; k < 4; k++ {
+				bank, at := banks[rng.IntN(len(banks))], front-rng.Int64N(200)
+				if got, want := r.Busy(bank, at), m.busy(bank, at); got != want {
+					t.Fatalf("seed %d step %d: Busy(%d, %d) = %v, want %v", seed, step, bank, at, got, want)
+				}
+			}
+			grew = grew || len(r.tags) > ringRows
+			wrapped = wrapped || front>>rowBits >= 2*int64(len(r.tags))
+		}
+		if !grew {
+			t.Errorf("seed %d: the ring never grew", seed)
+		}
+		if !wrapped {
+			t.Errorf("seed %d: rows never wrapped around the ring", seed)
+		}
+		if crossRow == 0 || crossPage == 0 || belowCutoff == 0 {
+			t.Errorf("seed %d: scans across rows %d, across pages %d, bookings below the cutoff %d; want all > 0",
+				seed, crossRow, crossPage, belowCutoff)
+		}
+		t.Logf("seed %d: ring %d rows, scans across rows %d, across pages %d, bookings below the cutoff %d",
+			seed, len(r.tags), crossRow, crossPage, belowCutoff)
+	}
+}
+
 func TestMemReadWrite(t *testing.T) {
 	m := NewMem(arch.MemPool())
 	f := func(raw uint32, v uint32) bool {

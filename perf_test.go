@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/channel"
 	"repro/internal/engine"
 	ipusch "repro/internal/pusch"
 	"repro/internal/sched"
@@ -81,6 +82,34 @@ func BenchmarkMachineRun(b *testing.B) {
 		SNRdB:  20,
 		Seed:   1,
 	}
+	m := engine.NewMachine(cfg.Cluster)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Reset()
+		if _, err := ipusch.RunChainRecordOn(m, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMachineRunTeraPool is BenchmarkMachineRun's TeraPool twin:
+// the slot the cold-terapool-fleet benchmark workload serves — 256
+// subcarriers on the stock pipelined layout over a TDL-B channel at
+// 30 Hz Doppler — on a reused 1024-core machine, where the 4096-bank
+// reservation table carries most of the engine's host cost.
+func BenchmarkMachineRunTeraPool(b *testing.B) {
+	tp := arch.TeraPool()
+	cfg := ipusch.ChainConfig{
+		Cluster: tp,
+		NSC:     256, NR: 16, NB: 8, NL: 4,
+		NSymb: 6, NPilot: 2,
+		Scheme: waveform.QPSK,
+		SNRdB:  20,
+		Seed:   1,
+		Layout: ipusch.StockPipelined(tp),
+	}
+	cfg = sched.Mobile(cfg, channel.TDLB, 30, 0)
 	m := engine.NewMachine(cfg.Cluster)
 	b.ReportAllocs()
 	b.ResetTimer()
